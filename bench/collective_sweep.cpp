@@ -61,7 +61,6 @@
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/graph/tdc.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/store/cli.hpp"
 #include "hfast/store/schedule_cache.hpp"
 #include "hfast/topo/fat_tree.hpp"
@@ -253,7 +252,7 @@ int main(int argc, char** argv) {
       base_ms.push_back(r.makespan_s);
       table.add(r.makespan_s * 1e3, 3).add("-");
       if (check) {
-        const auto par = netsim::parallel_replay(t, *net, {}, {.shards = 4});
+        const auto par = netsim::replay(t, *net, {}, {.shards = 4});
         if (!(r == par)) {
           fail(names[a] + " analytic on " + net->name() +
                ": serial/parallel parity");
@@ -338,7 +337,7 @@ int main(int argc, char** argv) {
             .add((r.makespan_s / base_ms[ni] - 1.0) * 100.0, 1);
         if (check) {
           const auto par =
-              netsim::parallel_replay(*replayed, net, {}, {.shards = 4});
+              netsim::replay(*replayed, net, {}, {.shards = 4});
           if (!(r == par)) {
             fail(names[a] + " [" +
                  std::string(collective::schedule_name(kind)) + "] on " +

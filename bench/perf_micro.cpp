@@ -1,7 +1,8 @@
 /// \file perf_micro.cpp
 /// google-benchmark microbenchmarks of the core kernels: communication
 /// graph construction, TDC cutoff sweeps, both provisioners, fabric
-/// routing, the runtime's messaging path, and trace replay.
+/// routing and the runtime's messaging path. Trace replay is measured by
+/// perfbench/ instead.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +21,6 @@
 #include "hfast/graph/tdc.hpp"
 #include "hfast/mpisim/runtime.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/store/store.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/trace/io.hpp"
@@ -174,37 +174,6 @@ void BM_batch_sweep_engine(benchmark::State& state) {
 BENCHMARK(BM_batch_sweep_engine)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
-void BM_replay_torus(benchmark::State& state) {
-  const auto r = analysis::run_experiment("cactus", 64);
-  const auto steady = r.trace.filter_region(apps::kSteadyRegion);
-  const topo::MeshTorus torus(topo::MeshTorus::balanced_dims(64, 3), true);
-  netsim::LinkParams link;
-  for (auto _ : state) {
-    netsim::DirectNetwork net(torus, link);
-    benchmark::DoNotOptimize(netsim::replay(steady, net));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(steady.events().size()));
-}
-BENCHMARK(BM_replay_torus)->Unit(benchmark::kMillisecond);
-
-void BM_parallel_replay_torus(benchmark::State& state) {
-  const auto r = analysis::run_experiment("cactus", 64);
-  const auto steady = r.trace.filter_region(apps::kSteadyRegion);
-  const topo::MeshTorus torus(topo::MeshTorus::balanced_dims(64, 3), true);
-  netsim::LinkParams link;
-  const int shards = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    netsim::DirectNetwork net(torus, link);
-    benchmark::DoNotOptimize(
-        netsim::parallel_replay(steady, net, {}, {.shards = shards}));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(steady.events().size()));
-}
-BENCHMARK(BM_parallel_replay_torus)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
 /// Trace load path face-off at the P=1024 scale the formats were built
 /// for: text parse vs HTRC stream decode vs HTRC mmap decode of the same
 /// cactus fiber trace. Arg: 0 = text, 1 = binary (stream), 2 = binary
@@ -346,45 +315,6 @@ void write_batch_sweep_datapoint() {
     }
     std::error_code ec;
     std::filesystem::remove_all(store_dir, ec);
-  }
-
-  // Parallel-replay datapoint: serial vs partitioned-clock replay of a
-  // cactus P=1024 fiber trace on a 3-D torus — the trace scale the serial
-  // replay was the bottleneck for. exact_match records the bitwise parity
-  // guarantee; -1 seconds means fibers are unavailable (TSan builds).
-  double replay_serial = -1.0, replay_parallel = -1.0;
-  std::uint64_t replay_events = 0;
-  bool replay_exact = false;
-  const int replay_shards = 4;
-  if (mpisim::fibers_supported()) {
-    try {
-      analysis::ExperimentConfig cfg;
-      cfg.app = "cactus";
-      cfg.nranks = 1024;
-      cfg.engine = mpisim::EngineKind::kFibers;
-      const auto exp = analysis::run_experiment(cfg);
-      const auto steady = exp.trace.filter_region(apps::kSteadyRegion);
-      replay_events = steady.events().size();
-      const topo::MeshTorus torus(topo::MeshTorus::balanced_dims(1024, 3),
-                                  true);
-      const netsim::LinkParams link;
-      netsim::DirectNetwork serial_net(torus, link);
-      auto start = std::chrono::steady_clock::now();
-      const auto serial_result = netsim::replay(steady, serial_net);
-      replay_serial = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-      netsim::DirectNetwork parallel_net(torus, link);
-      start = std::chrono::steady_clock::now();
-      const auto parallel_result = netsim::parallel_replay(
-          steady, parallel_net, {}, {.shards = replay_shards});
-      replay_parallel = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      replay_exact = serial_result == parallel_result;
-    } catch (const std::exception& e) {
-      std::cerr << "BENCH replay datapoint skipped: " << e.what() << "\n";
-    }
   }
 
   // Trace-format datapoint: the six-app P=1024 fiber traces saved as text
@@ -605,17 +535,6 @@ void write_batch_sweep_datapoint() {
   json.field("warm_hits", warm_hits);
   json.field("warm_speedup", cold > 0.0 && warm > 0.0 ? cold / warm : 0.0);
   json.end_object();
-  json.key("replay_p1024");
-  json.begin_object();
-  json.field("events", replay_events);
-  json.field("shards", replay_shards);
-  json.field("serial_seconds", replay_serial);
-  json.field("parallel_seconds", replay_parallel);
-  json.field("speedup", replay_serial > 0.0 && replay_parallel > 0.0
-                            ? replay_serial / replay_parallel
-                            : 0.0);
-  json.field("exact_match", replay_exact);
-  json.end_object();
   json.key("trace_p1024");
   json.begin_object();
   json.field("apps", std::uint64_t{6});
@@ -681,10 +600,7 @@ void write_batch_sweep_datapoint() {
             << (par > 0.0 ? seq / par : 0.0) << "x); P=256 engines: "
             << threads256 << " s threads vs " << fibers256
             << " s fibers; store: " << cold << " s cold vs " << warm
-            << " s warm (" << warm_hits << " hits); replay P=1024: "
-            << replay_serial << " s serial vs " << replay_parallel << " s x"
-            << replay_shards << " shards (exact="
-            << (replay_exact ? "yes" : "no") << "); trace P=1024 load: "
+            << " s warm (" << warm_hits << " hits); trace P=1024 load: "
             << trace_text_load << " s text vs " << trace_bin_load
             << " s binary vs " << trace_mmap_load << " s mmap ("
             << (trace_text_load > 0.0 && trace_mmap_load > 0.0

@@ -84,7 +84,6 @@
 #include "hfast/core/provision.hpp"
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/netsim/replay_reconfig.hpp"
 #include "hfast/store/schedule_cache.hpp"
 #include "hfast/topo/fat_tree.hpp"
@@ -390,11 +389,8 @@ int main(int argc, char** argv) {
       return std::pair<netsim::ReplayResult, double>(r, s);
     };
 
-    const auto [parallel, parallel_s] = run([&] {
-      if (replay_threads == 1) return netsim::replay(t, net);
-      return netsim::parallel_replay(t, net, {},
-                                     {.shards = replay_threads});
-    });
+    const auto [parallel, parallel_s] = run(
+        [&] { return netsim::replay(t, net, {}, {.shards = replay_threads}); });
     print_result(replay_threads == 1 ? "serial" : "parallel", parallel,
                  parallel_s);
 

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "hfast/apps/app.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/store/store.hpp"
 #include "hfast/util/assert.hpp"
 
@@ -177,16 +176,18 @@ BatchResult<netsim::ReplayResult> BatchRunner::run_replays(
       [](const ReplayJob& j) { return std::max(1, j.shards); },
       [](const ReplayJob& j) { return j.label; },
       [](const ReplayJob& j) {
+        // replay() reads 0 shards as "hardware concurrency", but the job is
+        // charged a single thread, so a count below 1 is a job error.
+        if (j.shards < 1) {
+          throw Error("replay job '" + j.label + "': shards " +
+                      std::to_string(j.shards) + " is below 1");
+        }
         HFAST_EXPECTS_MSG(j.trace != nullptr, "replay job without a trace");
         HFAST_EXPECTS_MSG(static_cast<bool>(j.make_network),
                           "replay job without a network factory");
         auto net = j.make_network();
         HFAST_EXPECTS_MSG(net != nullptr, "network factory returned null");
-        if (j.shards > 1) {
-          return netsim::parallel_replay(*j.trace, *net, j.params,
-                                         {.shards = j.shards});
-        }
-        return netsim::replay(*j.trace, *net, j.params);
+        return netsim::replay(*j.trace, *net, j.params, {.shards = j.shards});
       });
 }
 

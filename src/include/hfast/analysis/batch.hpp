@@ -87,9 +87,10 @@ struct ReplayJob {
   const trace::Trace* trace = nullptr;
   std::function<std::unique_ptr<netsim::Network>()> make_network;
   netsim::ReplayParams params;
-  /// Replay shards: 1 (default) runs the serial replay; >1 runs the
-  /// partitioned-clock parallel replay (bit-identical results) and is
-  /// charged to the batch thread budget as `shards` live threads.
+  /// Replay shards (ReplayOptions::shards): 1 (default) runs the serial
+  /// loop; >1 runs the partitioned-clock sequencer (bit-identical results)
+  /// and is charged to the batch thread budget as `shards` live threads.
+  /// A count below 1 fails the job with a JobError.
   int shards = 1;
 };
 

@@ -31,7 +31,7 @@ namespace hfast::collective {
 /// Which lowering a replay driver applies to trace collectives.
 enum class ScheduleKind : std::uint8_t {
   /// No lowering: collectives priced by the analytic dedicated-tree formula
-  /// (paper §2.4, detail::collective_cost) — the pre-lowering baseline,
+  /// (paper §2.4, the replay stepper's collective case) — the pre-lowering baseline,
   /// bit-identical to it by construction.
   kAnalytic,
   /// Ring: chunked reduce-scatter + allgather for allreduce (the classic

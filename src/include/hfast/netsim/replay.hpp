@@ -8,7 +8,17 @@
 /// Collectives ride the dedicated low-bandwidth tree network (paper §2.4):
 /// each collective costs a log2(P)-depth tree traversal plus payload
 /// serialization at tree bandwidth, applied to the local rank clock.
+///
+/// With ReplayOptions::shards > 1 the ranks are split into K contiguous
+/// shards, each advancing its own ranks' clocks on a dedicated thread.
+/// Cross-rank transfers go to a central sequencer, which applies them to
+/// the shared network in the serial loop's exact total order — `(issue
+/// clock, rank, op)` lexicographic — inside a conservative lookahead
+/// window derived from the network's minimum transfer latency (the classic
+/// conservative PDES recipe of SST/macro and LogGOPSim). The result is
+/// bit-identical to the serial loop's; DESIGN.md has the argument.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -34,7 +44,7 @@ struct ReplayResult {
   double avg_switch_hops = 0.0;
   int max_switch_hops = 0;
 
-  /// Bitwise field equality — the serial-vs-parallel parity contract is
+  /// Bitwise field equality — the serial-vs-sharded parity contract is
   /// exact double equality, not approximate.
   bool operator==(const ReplayResult&) const = default;
 };
@@ -51,15 +61,30 @@ struct ChannelSeed {
   std::uint64_t count = 0;
 };
 
-/// Replay the point-to-point + collective event stream of `trace` on `net`.
-/// The network's link occupancy is reset first.
-ReplayResult replay(const trace::Trace& trace, Network& net,
-                    const ReplayParams& params = {});
+/// How replay() runs. No setting changes the ReplayResult, bit for bit.
+struct ReplayOptions {
+  /// Rank shards (= threads, counting the calling thread, which runs shard
+  /// 0 and the sequencer). 0 picks the hardware concurrency; any value is
+  /// clamped to [1, nranks]. One shard — or a network with zero lookahead
+  /// (no link latency and zero send overhead) — runs the serial
+  /// priority-queue loop; more run the partitioned-clock sequencer.
+  int shards = 1;
 
-/// Same, with pre-seeded channel arrivals. Seeds referencing ranks outside
-/// the trace are an Error (seeds are runtime data, like the trace itself).
+  /// Bounded capacity of each worker shard's transfer submission queue.
+  /// Pure backpressure: any positive value is correct, smaller values just
+  /// block producers earlier. Exercised directly by tests.
+  std::size_t channel_capacity = std::size_t{1} << 15;
+
+  /// Pre-seeded channel arrivals. Seeds referencing ranks outside the
+  /// trace are an Error (seeds are runtime data, like the trace itself).
+  std::span<const ChannelSeed> seeds = {};
+};
+
+/// Replay the point-to-point + collective event stream of `trace` on `net`.
+/// The network's link occupancy is reset first. Throws Error on malformed
+/// events or seeds, and on a stalled trace (a receive without a send).
 ReplayResult replay(const trace::Trace& trace, Network& net,
-                    std::span<const ChannelSeed> seeds,
-                    const ReplayParams& params = {});
+                    const ReplayParams& params = {},
+                    const ReplayOptions& options = {});
 
 }  // namespace hfast::netsim

@@ -1,56 +1,21 @@
 #pragma once
 /// \file replay_parallel.hpp
-/// Partitioned-clock parallel trace replay: ranks are split into K
-/// contiguous shards, each advancing its own ranks' local clocks over its
-/// event streams on a dedicated thread. Cross-rank transfers are submitted
-/// to a central sequencer through bounded queues and applied against the
-/// shared network in the exact total order the serial replay would use —
-/// `(injection time, rank, op)` lexicographic — inside a conservative
-/// lookahead window derived from the network's minimum transfer latency.
-/// The result is bit-identical to `replay()`: same doubles, same counters.
-///
-/// This is the classic conservative PDES recipe (SST/macro, LogGOPSim):
-/// parallelism comes from rank-local event processing (clock bumps,
-/// collectives, receive matching), while link contention — the only
-/// globally-ordered resource — stays serialized. See DESIGN.md for the
-/// lookahead derivation and the parity argument.
+/// The sharded replay's former spelling. Sharded replay is replay() with
+/// ReplayOptions::shards != 1 (see replay.hpp). This forward stays only
+/// because perfbench/pipeline_bench.cpp still calls it, and the
+/// benchmark's sources are held fixed so that runs on different commits
+/// measure the same benchmark code. Everything else calls replay().
 
-#include <cstddef>
-
-#include "hfast/netsim/network.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/trace/trace.hpp"
 
 namespace hfast::netsim {
 
-struct ParallelReplayOptions {
-  /// Rank shards (= worker threads, counting the calling thread which runs
-  /// shard 0 plus the sequencer). 0 picks min(hardware concurrency,
-  /// nranks); any value is clamped to [1, nranks].
-  int shards = 0;
-
-  /// Bounded capacity of each shard's transfer submission queue. Pure
-  /// backpressure: any positive value is correct, smaller values just
-  /// block producers earlier. Exercised directly by tests.
-  std::size_t channel_capacity = std::size_t{1} << 15;
-};
-
-/// Replay `trace` on `net` across `options.shards` shards. Bit-identical
-/// to serial `replay()` for every trace both accept; throws the same
-/// `Error` on malformed events or stalled traces. Falls back to the serial
-/// path when the network admits zero lookahead (no link latency and zero
-/// send overhead), where conservative partitioning cannot make progress.
-ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
-                             const ReplayParams& params = {},
-                             const ParallelReplayOptions& options = {});
-
-/// Same, with pre-seeded channel arrivals (see ChannelSeed): each
-/// receiver's channel FIFO is seeded before the first round, so the result
-/// is bit-identical to the seeded serial replay. The zero-lookahead
-/// fallback forwards the seeds to the serial path.
-ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
-                             std::span<const ChannelSeed> seeds,
-                             const ReplayParams& params = {},
-                             const ParallelReplayOptions& options = {});
+/// replay() with a default of 0 shards (hardware concurrency).
+inline ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
+                                    const ReplayParams& params = {},
+                                    const ReplayOptions& options = {
+                                        .shards = 0}) {
+  return replay(trace, net, params, options);
+}
 
 }  // namespace hfast::netsim

@@ -52,8 +52,8 @@ struct ReconfigReplayOptions {
   LinkParams circuit;
   double block_overhead_s = 50e-9;
   int block_size = 16;
-  /// Replay shards per window: 1 = serial algorithm, otherwise the
-  /// partitioned-clock parallel replay (0 = hardware concurrency).
+  /// Replay shards per window (ReplayOptions::shards): 1 = serial loop,
+  /// otherwise the partitioned-clock sequencer (0 = hardware concurrency).
   int shards = 1;
 };
 

@@ -1,165 +1,132 @@
 #include "hfast/netsim/replay.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
+#include <string>
+#include <thread>
 
 #include "hfast/util/assert.hpp"
 #include "replay_detail.hpp"
 
 namespace hfast::netsim {
 
-namespace {
+namespace detail {
 
-using detail::ChannelFifo;
-using detail::RankState;
-using trace::EventKind;
+ChannelTable::ChannelTable(const trace::Trace& trace,
+                           std::span<const ChannelSeed> seeds) {
+  const auto n = static_cast<std::size_t>(trace.nranks());
+  const auto for_each = [&trace](std::size_t r, trace::EventKind kind,
+                                 auto&& visit) {
+    const trace::EventSpan ops = trace.rank_events(static_cast<int>(r));
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops.kind(i) == kind) visit(static_cast<std::size_t>(ops.peer(i)));
+    }
+  };
+  // The channels sends name, counted and then filled in place. Senders are
+  // visited in rank order, so every receiver's row comes out ascending; a
+  // stamp per receiver drops a sender's repeats. Flat arrays only: a
+  // vector per receiver scatters small blocks over the heap that the
+  // network's route maps later allocate into, which slowed route prewarm
+  // on the next replay's network by ~15% on dense P=64 traffic.
+  std::vector<std::size_t> stamp(n);
+  const auto each_send_channel = [&](auto&& visit) {
+    std::fill(stamp.begin(), stamp.end(), n);
+    for (std::size_t s = 0; s < n; ++s) {
+      // Every rank's own channel, so that a row naming every other
+      // sender is full and at() indexes it directly.
+      stamp[s] = s;
+      visit(s, s);
+      for_each(s, trace::EventKind::kSend, [&](std::size_t peer) {
+        if (stamp[peer] != s) {
+          stamp[peer] = s;
+          visit(peer, s);
+        }
+      });
+    }
+  };
+  offsets_.assign(n + 1, 0);
+  each_send_channel(
+      [&](std::size_t peer, std::size_t) { ++offsets_[peer + 1]; });
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  senders_.resize(offsets_[n]);
+  std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+  each_send_channel([&](std::size_t peer, std::size_t s) {
+    senders_[next[peer]++] = static_cast<int>(s);
+  });
 
-struct QueueEntry {
-  double clock;
-  int rank;
-  /// (clock, rank) lexicographic. Breaking equal-clock ties by rank pins
-  /// the schedule — and therefore every float accumulation order — to a
-  /// total order no stdlib heap layout can perturb, which is also the
-  /// order the parallel replay's sequencer reproduces.
-  bool operator>(const QueueEntry& o) const {
-    if (clock != o.clock) return clock > o.clock;
-    return rank > o.rank;
+  // Channels only a receive or a seed names: a stall, or traffic carried
+  // in from an earlier window. Usually none; merge any into their rows.
+  std::vector<std::pair<std::size_t, int>> extra;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t i = offsets_[r]; i < offsets_[r + 1]; ++i) {
+      stamp[static_cast<std::size_t>(senders_[i])] = n + r;
+    }
+    for_each(r, trace::EventKind::kRecv, [&](std::size_t peer) {
+      if (stamp[peer] != n + r) {
+        stamp[peer] = n + r;
+        extra.emplace_back(r, static_cast<int>(peer));
+      }
+    });
   }
-};
+  for (const ChannelSeed& s : seeds) {
+    const auto r = static_cast<std::size_t>(s.receiver);
+    const auto row = senders_.begin();
+    if (!std::binary_search(row + static_cast<std::ptrdiff_t>(offsets_[r]),
+                            row + static_cast<std::ptrdiff_t>(offsets_[r + 1]),
+                            s.sender)) {
+      extra.emplace_back(r, s.sender);
+    }
+  }
+  if (!extra.empty()) {
+    std::sort(extra.begin(), extra.end());
+    extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
+    std::vector<int> merged;
+    merged.reserve(senders_.size() + extra.size());
+    auto e = extra.begin();
+    for (std::size_t r = 0; r < n; ++r) {
+      // offsets_[r + 1] still holds the old row end: it is rewritten only
+      // in the next iteration.
+      auto row = senders_.begin() + static_cast<std::ptrdiff_t>(offsets_[r]);
+      const auto row_end =
+          senders_.begin() + static_cast<std::ptrdiff_t>(offsets_[r + 1]);
+      offsets_[r] = merged.size();
+      for (; e != extra.end() && e->first == r; ++e) {
+        while (row != row_end && *row < e->second) merged.push_back(*row++);
+        merged.push_back(e->second);
+      }
+      merged.insert(merged.end(), row, row_end);
+    }
+    offsets_[n] = merged.size();
+    senders_.swap(merged);
+  }
+  slots_.resize(senders_.size());
 
-}  // namespace
-
-ReplayResult replay(const trace::Trace& trace, Network& net,
-                    const ReplayParams& params) {
-  return replay(trace, net, std::span<const ChannelSeed>{}, params);
+  // Seeded arrivals precede every event-produced arrival on their channel.
+  for (const ChannelSeed& s : seeds) {
+    ChannelFifo& fifo = at(s.receiver, s.sender).fifo;
+    for (std::uint64_t k = 0; k < s.count; ++k) fifo.push(0.0);
+  }
 }
 
-ReplayResult replay(const trace::Trace& trace, Network& net,
-                    std::span<const ChannelSeed> seeds,
-                    const ReplayParams& params) {
-  HFAST_EXPECTS_MSG(trace.nranks() <= net.num_endpoints(),
-                    "network too small for the trace");
-  detail::validate_events(trace);
-  detail::validate_seeds(seeds, trace.nranks());
-  net.reset();
-  detail::prewarm_routes(trace, net);
-
-  // Per-rank op streams are zero-copy spans into the trace's sorted
-  // columns; the event loop below reads only the columns each event kind
-  // actually touches.
-  const int n = trace.nranks();
-  std::vector<RankState> ranks(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
+ReplayState::ReplayState(const trace::Trace& trace, const ReplayParams& p,
+                         std::span<const ChannelSeed> seeds)
+    : params(p),
+      nranks(trace.nranks()),
+      ranks(static_cast<std::size_t>(trace.nranks())),
+      channels(trace, seeds) {
+  for (int r = 0; r < nranks; ++r) {
     ranks[static_cast<std::size_t>(r)].ops = trace.rank_events(r);
   }
+}
 
-  // FIFO per-channel arrival queues, flat-indexed receiver*n+sender so the
-  // hot send/recv paths are one array access instead of a map lookup. A
-  // channel's only possible waiter is its receiver, so `waiting` is a flat
-  // flag array over the same index.
-  const auto chan = [n](int receiver, int sender) -> std::size_t {
-    return static_cast<std::size_t>(receiver) * static_cast<std::size_t>(n) +
-           static_cast<std::size_t>(sender);
-  };
-  std::vector<ChannelFifo> channel(static_cast<std::size_t>(n) *
-                                   static_cast<std::size_t>(n));
-  std::vector<char> waiting(channel.size(), 0);
-  // Seeded arrivals precede every event-produced arrival on their channel.
-  for (const ChannelSeed& seed : seeds) {
-    ChannelFifo& q = channel[chan(seed.receiver, seed.sender)];
-    for (std::uint64_t k = 0; k < seed.count; ++k) q.push(0.0);
-  }
-
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  for (int r = 0; r < n; ++r) {
-    if (!ranks[static_cast<std::size_t>(r)].ops.empty()) {
-      pq.push({0.0, r});
-    }
-  }
-
-  ReplayResult result;
-  double sum_latency = 0.0;
-  double sum_hops = 0.0;
-  std::size_t finished = 0;
-  for (int r = 0; r < n; ++r) {
-    if (ranks[static_cast<std::size_t>(r)].ops.empty()) ++finished;
-  }
-
-  while (!pq.empty()) {
-    const auto [clock, r] = pq.top();
-    pq.pop();
-    RankState& rs = ranks[static_cast<std::size_t>(r)];
-    if (rs.blocked || rs.pos >= rs.ops.size() || clock != rs.clock) {
-      continue;  // stale queue entry
-    }
-
-    switch (rs.ops.kind(rs.pos)) {
-      case EventKind::kSend: {
-        const trace::Rank peer = rs.ops.peer(rs.pos);
-        const std::uint64_t bytes = rs.ops.bytes(rs.pos);
-        rs.clock += params.send_overhead_s;
-        double arrival = rs.clock;
-        if (peer != r && peer >= 0) {
-          arrival = net.transfer(r, peer, bytes, rs.clock);
-          const double latency = arrival - rs.clock;
-          sum_latency += latency;
-          result.max_message_latency_s =
-              std::max(result.max_message_latency_s, latency);
-          const int hops = net.switch_hops(r, peer);
-          sum_hops += hops;
-          result.max_switch_hops = std::max(result.max_switch_hops, hops);
-          ++result.messages;
-          result.bytes += bytes;
-        }
-        const std::size_t c = chan(peer, r);
-        channel[c].push(arrival);
-        // Wake the receiver if it is blocked on this channel.
-        if (waiting[c]) {
-          waiting[c] = 0;
-          const int woken = peer;
-          ranks[static_cast<std::size_t>(woken)].blocked = false;
-          pq.push({ranks[static_cast<std::size_t>(woken)].clock, woken});
-        }
-        ++rs.pos;
-        break;
-      }
-      case EventKind::kRecv: {
-        // Our channel key is (dst_of_send, src_of_send) = (this rank's view).
-        ChannelFifo& q = channel[chan(r, rs.ops.peer(rs.pos))];
-        if (q.empty()) {
-          rs.blocked = true;
-          waiting[chan(r, rs.ops.peer(rs.pos))] = 1;
-          continue;  // re-queued on wake
-        }
-        const double arrival = q.pop();
-        if (arrival > rs.clock) {
-          rs.recv_wait += arrival - rs.clock;
-          rs.clock = arrival;
-        }
-        rs.clock += params.recv_overhead_s;
-        ++rs.pos;
-        break;
-      }
-      case EventKind::kCollective: {
-        rs.clock += params.send_overhead_s +
-                    detail::collective_cost(rs.ops.bytes(rs.pos), n, params);
-        ++rs.pos;
-        break;
-      }
-    }
-
-    if (rs.pos >= rs.ops.size()) {
-      ++finished;
-    } else if (!rs.blocked) {
-      pq.push({rs.clock, r});
-    }
-  }
-
-  if (finished != static_cast<std::size_t>(n)) {
+ReplayResult ReplayState::finish() {
+  if (!std::all_of(ranks.begin(), ranks.end(),
+                   [](const RankState& rs) { return rs.done(); })) {
     throw Error("replay: trace stalled — receive without a matching send");
   }
   // Rank clocks are monotone, so the per-rank final clock is that rank's
-  // completion time; both finalizations run in rank order on both paths.
+  // completion time.
   for (const RankState& rs : ranks) {
     result.makespan_s = std::max(result.makespan_s, rs.clock);
     result.total_recv_wait_s += rs.recv_wait;
@@ -170,6 +137,139 @@ ReplayResult replay(const trace::Trace& trace, Network& net,
     result.avg_switch_hops = sum_hops / static_cast<double>(result.messages);
   }
   return result;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Reject events that index outside the trace's rank space. Traces are
+/// runtime data — possibly a hand-edited load_text file — so a malformed
+/// event is an Error, not a caller contract violation. Scans the full
+/// column range (including events a malformed rank pushed outside every
+/// rank's span), reading only the three columns it checks.
+void validate_events(const trace::Trace& trace) {
+  const int n = trace.nranks();
+  const trace::EventColumns& c = trace.columns();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (c.rank[i] < 0 || c.rank[i] >= n) {
+      throw Error("replay: event rank " + std::to_string(c.rank[i]) +
+                  " outside [0, " + std::to_string(n) + ")");
+    }
+    if (c.kind[i] == trace::EventKind::kCollective) {
+      // Collectives are peerless by contract; a stray peer means the event
+      // stream was corrupted or hand-edited inconsistently.
+      if (c.peer[i] != mpisim::kNoPeer) {
+        throw Error("replay: collective event with peer " +
+                    std::to_string(c.peer[i]) + " (expected " +
+                    std::to_string(mpisim::kNoPeer) + ") on rank " +
+                    std::to_string(c.rank[i]));
+      }
+    } else if (c.peer[i] < 0 || c.peer[i] >= n) {
+      throw Error("replay: point-to-point peer " + std::to_string(c.peer[i]) +
+                  " outside [0, " + std::to_string(n) + ") on rank " +
+                  std::to_string(c.rank[i]));
+    }
+  }
+}
+
+void validate_seeds(std::span<const ChannelSeed> seeds, int nranks) {
+  for (const ChannelSeed& s : seeds) {
+    if (s.receiver < 0 || s.receiver >= nranks || s.sender < 0 ||
+        s.sender >= nranks) {
+      throw Error("replay: channel seed (" + std::to_string(s.sender) +
+                  " -> " + std::to_string(s.receiver) + ") outside [0, " +
+                  std::to_string(nranks) + ")");
+    }
+  }
+}
+
+/// Populate the network's route caches for every ordered pair the trace
+/// sends on, so replay-time transfer()/switch_hops() queries are pure
+/// lookups. The sharded loop requires this (shards share one network for
+/// read-only hop queries); the serial loop does it too so both exercise
+/// the same network state.
+void prewarm_routes(const trace::Trace& trace, Network& net) {
+  const trace::EventColumns& c = trace.columns();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (c.kind[i] == trace::EventKind::kSend && c.peer[i] != c.rank[i]) {
+      net.prewarm_route(c.rank[i], c.peer[i]);
+    }
+  }
+}
+
+struct QueueEntry {
+  double clock;
+  int rank;
+  /// (clock, rank) lexicographic. Breaking equal-clock ties by rank pins
+  /// the schedule — and therefore every float accumulation order — to a
+  /// total order no stdlib heap layout can perturb, which is also the
+  /// order the sharded loop's sequencer reproduces.
+  bool operator>(const QueueEntry& o) const {
+    if (clock != o.clock) return clock > o.clock;
+    return rank > o.rank;
+  }
+};
+
+/// The serial loop: one event per dequeue, lowest (clock, rank) first,
+/// each cross-rank send sequenced the moment it is issued.
+void run_serial(detail::ReplayState& state, Network& net) {
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+  for (int r = 0; r < state.nranks; ++r) {
+    if (!state.ranks[static_cast<std::size_t>(r)].done()) pq.push({0.0, r});
+  }
+  const auto send = [&](const detail::PendingTransfer& t) {
+    if (state.sequence(net, t)) {
+      pq.push({state.ranks[static_cast<std::size_t>(t.dst)].clock, t.dst});
+    }
+  };
+  while (!pq.empty()) {
+    const auto [clock, r] = pq.top();
+    pq.pop();
+    detail::RankState& rs = state.ranks[static_cast<std::size_t>(r)];
+    if (rs.blocked || rs.done() || clock != rs.clock) {
+      continue;  // stale queue entry
+    }
+    state.step(r, send);
+    if (!rs.blocked && !rs.done()) pq.push({rs.clock, r});
+  }
+}
+
+}  // namespace
+
+ReplayResult replay(const trace::Trace& trace, Network& net,
+                    const ReplayParams& params, const ReplayOptions& options) {
+  HFAST_EXPECTS_MSG(trace.nranks() <= net.num_endpoints(),
+                    "network too small for the trace");
+  HFAST_EXPECTS_MSG(options.shards >= 0, "replay: negative shard count");
+  HFAST_EXPECTS_MSG(options.channel_capacity > 0,
+                    "replay: channel capacity must be positive");
+  validate_events(trace);
+  validate_seeds(options.seeds, trace.nranks());
+  net.reset();
+  prewarm_routes(trace, net);
+  detail::ReplayState state(trace, params, options.seeds);
+
+  int shards = options.shards;
+  if (shards == 0) {
+    shards = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  shards = std::clamp(shards, 1, std::max(1, trace.nranks()));
+  // Conservative lookahead: a transfer injected at t cannot deliver before
+  // t + min link latency, and the woken receiver cannot inject a new
+  // transfer before paying the send overhead on top. With zero lookahead
+  // the window never admits more than the front event and ordering ties at
+  // equal times cannot be ruled out, so shards could not run ahead of the
+  // sequencer — the serial loop is the algorithm for that case.
+  const double lookahead =
+      net.min_transfer_latency_s() + params.send_overhead_s;
+  if (shards > 1 && lookahead > 0.0) {
+    detail::run_sharded(state, net, shards, options.channel_capacity,
+                        lookahead);
+  } else {
+    run_serial(state, net);
+  }
+  return state.finish();
 }
 
 }  // namespace hfast::netsim

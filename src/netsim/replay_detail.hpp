@@ -1,31 +1,39 @@
 #pragma once
 /// \file replay_detail.hpp
-/// Internals shared between the serial replay and the partitioned-clock
-/// parallel replay. The two are contractually bit-identical, so every cost
-/// or validation rule they both apply must live here as the single
-/// implementation — a copy that drifts by one rounding step breaks parity.
+/// The replay kernel shared by the serial loop (replay.cpp) and the
+/// partitioned-clock sequencer (replay_parallel.cpp). The two are
+/// contractually bit-identical, so every rule they both apply lives here
+/// exactly once: the rank stepper (the only switch over EventKind), the
+/// channel table, and the transfer accounting and final reduction. The
+/// loops differ only in when a cross-rank send is sequenced — at once in
+/// the serial loop, after a conservative window in the sharded one.
 
+#include <algorithm>
 #include <cmath>
-#include <string>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "hfast/netsim/network.hpp"
 #include "hfast/netsim/replay.hpp"
 #include "hfast/trace/trace.hpp"
+#include "hfast/util/assert.hpp"
 
 namespace hfast::netsim::detail {
 
 /// Per-rank execution state. `ops` is a zero-copy span into the trace's
-/// sorted columns (the per-rank offset index makes it O(1) to obtain) —
-/// neither replay copies events anymore. Both replays advance a rank
-/// through its event stream with exactly the same statements; `recv_wait`
-/// accumulates rank-locally in event order and is reduced over ranks at
-/// the end, so the float sum never depends on how ranks interleave.
+/// sorted columns (the per-rank offset index makes it O(1) to obtain).
+/// `recv_wait` accumulates rank-locally in event order and is reduced over
+/// ranks at the end, so the float sum never depends on how ranks
+/// interleave.
 struct RankState {
   trace::EventSpan ops;
   std::size_t pos = 0;
   double clock = 0.0;
   double recv_wait = 0.0;
   bool blocked = false;
+
+  bool done() const noexcept { return pos >= ops.size(); }
 };
 
 /// Arrival-time FIFO backed by a flat vector with a consumed-prefix index:
@@ -50,74 +58,175 @@ struct ChannelFifo {
   }
 };
 
-/// Collective cost on the dedicated tree network (paper §2.4): up the
-/// log2(P)-depth combine tree and back down, plus payload serialization at
-/// tree bandwidth.
-inline double collective_cost(std::uint64_t bytes, int nranks,
-                              const ReplayParams& params) {
-  const int levels =
-      nranks <= 1 ? 0 : static_cast<int>(std::ceil(std::log2(nranks)));
-  return 2.0 * levels * params.tree_hop_latency_s +
-         static_cast<double>(bytes) / params.tree_bandwidth_bps;
-}
+struct ChannelSlot {
+  ChannelFifo fifo;
+  bool waiting = false;  ///< the receiver is blocked on exactly this channel
+};
 
-/// Reject events that index outside the trace's rank space. Traces are
-/// runtime data — possibly a hand-edited load_text file — so a malformed
-/// event is an Error, not a caller contract violation. Scans the full
-/// column range (including events a malformed rank pushed outside every
-/// rank's span), reading only the three columns it checks.
-inline void validate_events(const trace::Trace& trace) {
-  const int n = trace.nranks();
-  const trace::EventColumns& c = trace.columns();
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    if (c.rank[i] < 0 || c.rank[i] >= n) {
-      throw Error("replay: event rank " + std::to_string(c.rank[i]) +
-                  " outside [0, " + std::to_string(n) + ")");
+/// Sparse CSR table of the (sender -> receiver) channels a replay can
+/// touch: those the trace's sends and receives name, the seeded ones, and
+/// each rank's own. Each receiver's senders are sorted, so a lookup is one
+/// binary search over that rank's partners — the paper's point is that
+/// TDC << P, so a dense P^2 table would be almost all empty slots. A full
+/// row (all-to-all traffic) is indexed directly instead. Slots of one
+/// receiver are touched only by that receiver's shard during a round and
+/// by the sequencer between rounds, so shards share the table without
+/// locks.
+class ChannelTable {
+ public:
+  ChannelTable(const trace::Trace& trace, std::span<const ChannelSeed> seeds);
+
+  ChannelSlot& at(int receiver, int sender) {
+    const auto r = static_cast<std::size_t>(receiver);
+    std::size_t first = offsets_[r];
+    std::size_t len = offsets_[r + 1] - first;
+    if (len == offsets_.size() - 1) {  // a full row: every rank sends here
+      return slots_[first + static_cast<std::size_t>(sender)];
     }
-    if (c.kind[i] == trace::EventKind::kCollective) {
-      // Collectives are peerless by contract; a stray peer means the event
-      // stream was corrupted or hand-edited inconsistently.
-      if (c.peer[i] != mpisim::kNoPeer) {
-        throw Error("replay: collective event with peer " +
-                    std::to_string(c.peer[i]) + " (expected " +
-                    std::to_string(mpisim::kNoPeer) + ") on rank " +
-                    std::to_string(c.rank[i]));
+    // Branch-free binary search (a conditional move per level, no
+    // mispredicted jumps): narrows to the last sender <= `sender`.
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      first = senders_[first + half] <= sender ? first + half : first;
+      len -= half;
+    }
+    HFAST_ASSERT(len == 1 && senders_[first] == sender);
+    return slots_[first];
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  ///< receiver -> first slot, n + 1
+  std::vector<int> senders_;          ///< per slot, ascending per receiver
+  std::vector<ChannelSlot> slots_;
+};
+
+/// One cross-rank message awaiting sequencing: the sender already advanced
+/// past it (its only local effect is the send overhead); the network owes
+/// it a transfer() at `start` and the receiver an arrival.
+struct PendingTransfer {
+  double issue = 0.0;  ///< sender clock when the send op was dequeued
+  double start = 0.0;  ///< injection time (issue + send overhead)
+  int src = -1;
+  int dst = -1;
+  std::uint64_t bytes = 0;
+  std::uint64_t seq = 0;  ///< sender-local op position, for stable ties
+
+  /// The serial loop's transfer order: (dequeue clock, rank, op). The key
+  /// must be `issue`, not `start`: the serial priority queue orders sends
+  /// by pre-overhead clock, and clock -> clock + overhead is monotone but
+  /// not injective in floating point (adding the overhead can cross a
+  /// binade and collapse two clocks one ulp apart into the same start).
+  /// Sorting such a collapsed group by src would diverge from the serial
+  /// order against a stateful network. Ordering by `issue` refines the
+  /// start order, so the sequencer's window logic — whose safety argument
+  /// is about start times — is unaffected.
+  bool operator<(const PendingTransfer& o) const {
+    if (issue != o.issue) return issue < o.issue;
+    if (src != o.src) return src < o.src;
+    return seq < o.seq;
+  }
+};
+
+/// Everything one replay mutates, and the three steps both loops share.
+struct ReplayState {
+  ReplayState(const trace::Trace& trace, const ReplayParams& params,
+              std::span<const ChannelSeed> seeds);
+
+  ReplayParams params;
+  int nranks;
+  std::vector<RankState> ranks;
+  ChannelTable channels;
+  ReplayResult result;
+  double sum_latency = 0.0;
+  double sum_hops = 0.0;
+
+  /// Execute rank `self`'s next event. A receive on an empty channel
+  /// blocks the rank instead (the arrival that fills the channel wakes
+  /// it). A cross-rank send is handed to `send` — the only statement the
+  /// two loops vary: the serial loop sequences it at once, the sharded
+  /// loop submits it. The sender's clock never depends on its own
+  /// transfer, so a shard can run ahead of the sequencer.
+  template <typename Send>
+  void step(int self, Send&& send) {
+    RankState& rs = ranks[static_cast<std::size_t>(self)];
+    switch (rs.ops.kind(rs.pos)) {
+      case trace::EventKind::kSend: {
+        const trace::Rank peer = rs.ops.peer(rs.pos);
+        const double issue = rs.clock;
+        rs.clock += params.send_overhead_s;
+        if (peer != self) {
+          send(PendingTransfer{issue, rs.clock, self, peer,
+                               rs.ops.bytes(rs.pos),
+                               static_cast<std::uint64_t>(rs.pos)});
+        } else {
+          // Self-send: arrival is the injection time, no network
+          // traversal, no message stats.
+          channels.at(self, self).fifo.push(rs.clock);
+        }
+        break;
       }
-    } else if (c.peer[i] < 0 || c.peer[i] >= n) {
-      throw Error("replay: point-to-point peer " + std::to_string(c.peer[i]) +
-                  " outside [0, " + std::to_string(n) + ") on rank " +
-                  std::to_string(c.rank[i]));
+      case trace::EventKind::kRecv: {
+        ChannelSlot& slot = channels.at(self, rs.ops.peer(rs.pos));
+        if (slot.fifo.empty()) {
+          rs.blocked = true;
+          slot.waiting = true;
+          return;
+        }
+        const double arrival = slot.fifo.pop();
+        if (arrival > rs.clock) {
+          rs.recv_wait += arrival - rs.clock;
+          rs.clock = arrival;
+        }
+        rs.clock += params.recv_overhead_s;
+        break;
+      }
+      case trace::EventKind::kCollective: {
+        // The dedicated tree network (paper §2.4): up the log2(P)-depth
+        // combine tree and back down, plus payload serialization at tree
+        // bandwidth.
+        const int levels =
+            nranks <= 1 ? 0 : static_cast<int>(std::ceil(std::log2(nranks)));
+        rs.clock += params.send_overhead_s +
+                    (2.0 * levels * params.tree_hop_latency_s +
+                     static_cast<double>(rs.ops.bytes(rs.pos)) /
+                         params.tree_bandwidth_bps);
+        break;
+      }
     }
+    ++rs.pos;
   }
-}
 
-/// Reject channel seeds that index outside the trace's rank space. Both
-/// replays apply the same rule so a malformed seed fails identically on
-/// either path.
-inline void validate_seeds(std::span<const ChannelSeed> seeds, int nranks) {
-  for (const ChannelSeed& s : seeds) {
-    if (s.receiver < 0 || s.receiver >= nranks || s.sender < 0 ||
-        s.sender >= nranks) {
-      throw Error("replay: channel seed (" + std::to_string(s.sender) +
-                  " -> " + std::to_string(s.receiver) + ") outside [0, " +
-                  std::to_string(nranks) + ")");
-    }
-  }
-}
+  /// Apply one cross-rank transfer to the network, account for it, and
+  /// deliver its arrival. Both loops call this in the same global order.
+  /// Returns true when the arrival woke its blocked receiver.
+  bool sequence(Network& net, const PendingTransfer& t) {
+    const double arrival = net.transfer(t.src, t.dst, t.bytes, t.start);
+    const double latency = arrival - t.start;
+    sum_latency += latency;
+    result.max_message_latency_s =
+        std::max(result.max_message_latency_s, latency);
+    const int hops = net.switch_hops(t.src, t.dst);
+    sum_hops += hops;
+    result.max_switch_hops = std::max(result.max_switch_hops, hops);
+    ++result.messages;
+    result.bytes += t.bytes;
 
-/// Populate the network's route caches for every ordered pair the trace
-/// sends on, so replay-time transfer()/switch_hops() queries are pure
-/// lookups. The parallel replay requires this (shards share one network
-/// for read-only hop queries); the serial replay does it too so both paths
-/// exercise the same network state.
-inline void prewarm_routes(const trace::Trace& trace, Network& net) {
-  const trace::EventColumns& c = trace.columns();
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    if (c.kind[i] == trace::EventKind::kSend && c.peer[i] != c.rank[i] &&
-        c.peer[i] >= 0) {
-      net.prewarm_route(c.rank[i], c.peer[i]);
-    }
+    ChannelSlot& slot = channels.at(t.dst, t.src);
+    slot.fifo.push(arrival);
+    if (!slot.waiting) return false;
+    slot.waiting = false;
+    ranks[static_cast<std::size_t>(t.dst)].blocked = false;
+    return true;
   }
-}
+
+  /// Throw if a rank never finished; otherwise reduce the per-rank clocks
+  /// and waits in rank order and return the result.
+  ReplayResult finish();
+};
+
+/// The sharded loop (replay_parallel.cpp): `shards` >= 2 threads, window
+/// width `lookahead` > 0.
+void run_sharded(ReplayState& state, Network& net, int shards,
+                 std::size_t channel_capacity, double lookahead);
 
 }  // namespace hfast::netsim::detail

@@ -1,59 +1,22 @@
-#include "hfast/netsim/replay_parallel.hpp"
+/// The partitioned-clock sequencer: replay() with more than one shard.
+/// Each shard advances its contiguous rank range to quiescence on its own
+/// thread, submitting cross-rank sends; the sequencer applies them in the
+/// serial loop's total order inside a conservative lookahead window.
 
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "hfast/util/assert.hpp"
 #include "replay_detail.hpp"
 
-namespace hfast::netsim {
+namespace hfast::netsim::detail {
 
 namespace {
-
-using detail::ChannelFifo;
-using detail::RankState;
-using trace::EventKind;
-
-/// One cross-rank message awaiting sequencing: the sender already advanced
-/// past it (its only local effect is the send overhead); the sequencer
-/// owes the network a transfer() at `start` and the receiver an arrival.
-struct PendingTransfer {
-  double issue = 0.0;  ///< sender clock when the send op was dequeued
-  double start = 0.0;  ///< injection time (issue + send overhead)
-  int src = -1;
-  int dst = -1;
-  std::uint64_t bytes = 0;
-  std::uint64_t seq = 0;  ///< sender-local op position, for stable ties
-
-  /// The serial replay's transfer order: (dequeue clock, rank, op). The
-  /// key must be `issue`, not `start`: the serial priority queue orders
-  /// sends by pre-overhead clock, and clock -> clock + overhead is
-  /// monotone but not injective in floating point (adding the overhead
-  /// can cross a binade and collapse two clocks one ulp apart into the
-  /// same start). Sorting such a collapsed group by src would diverge
-  /// from the serial order against a stateful network. Ordering by
-  /// `issue` refines the start order, so the window logic below — whose
-  /// safety argument is about start times — is unaffected.
-  bool operator<(const PendingTransfer& o) const {
-    if (issue != o.issue) return issue < o.issue;
-    if (src != o.src) return src < o.src;
-    return seq < o.seq;
-  }
-};
-
-/// A sequenced arrival headed back to the receiver's shard.
-struct Delivery {
-  int receiver = -1;
-  int sender = -1;
-  double arrival = 0.0;
-};
 
 /// Bounded SPSC submission queue, one per worker shard (the sequencer is
 /// the single consumer of all of them). push() blocks on capacity —
@@ -113,8 +76,8 @@ class TransferQueue {
 
 /// Round barrier: workers park here after quiescing; the sequencer
 /// releases the next round (or tells everyone to exit). The gate's mutex
-/// is also the happens-before edge that publishes the inboxes the
-/// sequencer filled to the workers that read them.
+/// is also the happens-before edge that publishes the arrivals the
+/// sequencer delivered (and the ranks it woke) to the workers that own them.
 class RoundGate {
  public:
   /// Worker side: wait for a generation newer than `seen`, adopt it.
@@ -146,265 +109,73 @@ class RoundGate {
   bool exit_ = false;
 };
 
-struct ChannelSlot {
-  ChannelFifo fifo;
-  bool waiting = false;  ///< the receiver is blocked on exactly this channel
-};
-
-/// One shard: a contiguous rank range [first, last) with its rank states
-/// and receive channels. Channels are sparse maps keyed by sender — at
-/// P=4096 a flat P^2 table would dwarf the trace itself, and the paper's
-/// whole point is that each rank talks to a few dozen partners (TDC << P).
-class Shard {
- public:
-  void init(int first, int last) {
-    first_ = first;
-    ranks_.resize(static_cast<std::size_t>(last - first));
-    channels_.resize(ranks_.size());
-  }
-
-  RankState& rank(int global) {
-    return ranks_[static_cast<std::size_t>(global - first_)];
-  }
-
-  /// Pre-round channel seeding: `count` arrivals at t = 0, ahead of any
-  /// arrival this replay produces — the serial path pushes its seeds
-  /// before the event loop, so FIFO order matches bit-for-bit.
-  void seed_channel(int receiver, int sender, std::uint64_t count) {
-    ChannelFifo& fifo = channel(receiver, sender).fifo;
-    for (std::uint64_t k = 0; k < count; ++k) fifo.push(0.0);
-  }
-  const std::vector<RankState>& ranks() const { return ranks_; }
-  std::vector<Delivery>& inbox() { return inbox_; }
-  int finished_ranks() const { return finished_; }
-
-  /// Run one round: fold in the deliveries the sequencer routed to us,
-  /// then advance every runnable rank until it blocks or finishes. Ranks
-  /// only interact through sequenced transfers, so a single in-order pass
-  /// reaches shard-wide quiescence.
-  template <typename Submit>
-  void run_round(int nranks, const ReplayParams& params,
-                 const Submit& submit) {
-    for (const Delivery& d : inbox_) {
-      ChannelSlot& slot = channel(d.receiver, d.sender);
-      slot.fifo.push(d.arrival);
-      if (slot.waiting) {
-        slot.waiting = false;
-        rank(d.receiver).blocked = false;
-      }
-    }
-    inbox_.clear();
-
-    finished_ = 0;
-    for (std::size_t i = 0; i < ranks_.size(); ++i) {
-      RankState& rs = ranks_[i];
-      if (!rs.blocked) {
-        run_rank(rs, first_ + static_cast<int>(i), nranks, params, submit);
-      }
-      if (rs.pos >= rs.ops.size()) ++finished_;
-    }
-  }
-
- private:
-  ChannelSlot& channel(int receiver, int sender) {
-    return channels_[static_cast<std::size_t>(receiver - first_)][sender];
-  }
-
-  /// Advance one rank to quiescence. Statement-for-statement the serial
-  /// replay's event handling, except that a cross-rank send submits a
-  /// PendingTransfer instead of touching the network: the sender's clock
-  /// never depends on its own transfer result, so it can run ahead.
-  /// `self` is the rank's global id — rs.ops is this rank's span of the
-  /// trace columns, so every event's rank column equals `self` and the
-  /// hot loop reads only the kind/peer/bytes columns it needs.
-  template <typename Submit>
-  void run_rank(RankState& rs, int self, int nranks,
-                const ReplayParams& params, const Submit& submit) {
-    while (rs.pos < rs.ops.size()) {
-      switch (rs.ops.kind(rs.pos)) {
-        case EventKind::kSend: {
-          const trace::Rank peer = rs.ops.peer(rs.pos);
-          const double issue = rs.clock;
-          rs.clock += params.send_overhead_s;
-          if (peer != self && peer >= 0) {
-            submit(PendingTransfer{issue, rs.clock, self, peer,
-                                   rs.ops.bytes(rs.pos),
-                                   static_cast<std::uint64_t>(rs.pos)});
-          } else {
-            // Self-send: arrival is the injection time, no network
-            // traversal, no message stats — exactly the serial path.
-            channel(self, self).fifo.push(rs.clock);
-          }
-          ++rs.pos;
-          break;
-        }
-        case EventKind::kRecv: {
-          ChannelSlot& slot = channel(self, rs.ops.peer(rs.pos));
-          if (slot.fifo.empty()) {
-            rs.blocked = true;
-            slot.waiting = true;
-            return;
-          }
-          const double arrival = slot.fifo.pop();
-          if (arrival > rs.clock) {
-            rs.recv_wait += arrival - rs.clock;
-            rs.clock = arrival;
-          }
-          rs.clock += params.recv_overhead_s;
-          ++rs.pos;
-          break;
-        }
-        case EventKind::kCollective: {
-          rs.clock += params.send_overhead_s +
-                      detail::collective_cost(rs.ops.bytes(rs.pos), nranks,
-                                              params);
-          ++rs.pos;
-          break;
-        }
-      }
-    }
-  }
-
-  int first_ = 0;
-  std::vector<RankState> ranks_;
-  std::vector<std::map<int, ChannelSlot>> channels_;
-  std::vector<Delivery> inbox_;
-  int finished_ = 0;
-};
-
 }  // namespace
 
-ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
-                             const ReplayParams& params,
-                             const ParallelReplayOptions& options) {
-  return parallel_replay(trace, net, std::span<const ChannelSeed>{}, params,
-                         options);
-}
-
-ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
-                             std::span<const ChannelSeed> seeds,
-                             const ReplayParams& params,
-                             const ParallelReplayOptions& options) {
-  HFAST_EXPECTS_MSG(trace.nranks() <= net.num_endpoints(),
-                    "network too small for the trace");
-  HFAST_EXPECTS_MSG(options.shards >= 0,
-                    "parallel_replay: negative shard count");
-  HFAST_EXPECTS_MSG(options.channel_capacity > 0,
-                    "parallel_replay: channel capacity must be positive");
-  detail::validate_events(trace);
-  detail::validate_seeds(seeds, trace.nranks());
-
-  // Conservative lookahead: a transfer injected at t cannot deliver before
-  // t + min link latency, and the woken receiver cannot inject a new
-  // transfer before paying the send overhead on top. With zero lookahead
-  // the window never admits more than the front event and ordering ties at
-  // equal times cannot be ruled out, so conservative partitioning cannot
-  // run ahead of the sequencer — use the serial algorithm directly.
-  const double lookahead =
-      net.min_transfer_latency_s() + params.send_overhead_s;
-  if (lookahead <= 0.0) return replay(trace, net, seeds, params);
-
-  net.reset();
-  detail::prewarm_routes(trace, net);
-
-  const int n = trace.nranks();
-  int nshards = options.shards;
-  if (nshards == 0) {
-    nshards = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  nshards = std::clamp(nshards, 1, std::max(1, n));
-
-  std::vector<Shard> shards(static_cast<std::size_t>(nshards));
-  std::vector<int> shard_of(static_cast<std::size_t>(n));
-  for (int s = 0; s < nshards; ++s) {
-    const int first = static_cast<int>(static_cast<long long>(s) * n / nshards);
-    const int last =
-        static_cast<int>(static_cast<long long>(s + 1) * n / nshards);
-    shards[static_cast<std::size_t>(s)].init(first, last);
-    for (int r = first; r < last; ++r) {
-      shard_of[static_cast<std::size_t>(r)] = s;
+void run_sharded(ReplayState& state, Network& net, int nshards,
+                 std::size_t channel_capacity, double lookahead) {
+  const int n = state.nranks;
+  // Shard s owns ranks [bound(s), bound(s + 1)) and their receive channels.
+  const auto bound = [n, nshards](int s) {
+    return static_cast<int>(static_cast<long long>(s) * n / nshards);
+  };
+  // finished[s]: ranks shard s completed, as of the end of its last round.
+  std::vector<int> finished(static_cast<std::size_t>(nshards), 0);
+  // One round of one shard: advance every runnable rank until it blocks or
+  // finishes. Ranks only interact through sequenced transfers, so a single
+  // in-order pass reaches shard-wide quiescence.
+  const auto run_round = [&](int s, const auto& submit) {
+    int done = 0;
+    for (int r = bound(s); r < bound(s + 1); ++r) {
+      RankState& rs = state.ranks[static_cast<std::size_t>(r)];
+      while (!rs.blocked && !rs.done()) state.step(r, submit);
+      if (rs.done()) ++done;
     }
-  }
-  // Zero-copy partition: each rank's op stream is a span into the trace's
-  // sorted columns, handed to its shard via the per-rank offset index.
-  for (int r = 0; r < n; ++r) {
-    shards[static_cast<std::size_t>(shard_of[static_cast<std::size_t>(r)])]
-        .rank(r)
-        .ops = trace.rank_events(r);
-  }
-  for (const ChannelSeed& seed : seeds) {
-    shards[static_cast<std::size_t>(
-               shard_of[static_cast<std::size_t>(seed.receiver)])]
-        .seed_channel(seed.receiver, seed.sender, seed.count);
-  }
+    finished[static_cast<std::size_t>(s)] = done;
+  };
 
   // Shard 0 runs on this thread, interleaved with sequencing; its
   // submissions land in a plain vector. Shards 1..K-1 get a thread and a
   // bounded queue each.
   std::vector<std::unique_ptr<TransferQueue>> queues;
   for (int s = 1; s < nshards; ++s) {
-    queues.push_back(std::make_unique<TransferQueue>(options.channel_capacity));
+    queues.push_back(std::make_unique<TransferQueue>(channel_capacity));
   }
   RoundGate gate;
-  std::vector<std::exception_ptr> worker_errors(
-      static_cast<std::size_t>(nshards > 0 ? nshards - 1 : 0));
+  std::vector<std::exception_ptr> worker_errors(queues.size());
   std::vector<std::thread> workers;
   workers.reserve(queues.size());
   for (int s = 1; s < nshards; ++s) {
-    Shard& shard = shards[static_cast<std::size_t>(s)];
-    TransferQueue& queue = *queues[static_cast<std::size_t>(s - 1)];
-    std::exception_ptr& error = worker_errors[static_cast<std::size_t>(s - 1)];
-    workers.emplace_back([&shard, &queue, &gate, &error, n, &params] {
+    workers.emplace_back([&, s] {
+      TransferQueue& queue = *queues[static_cast<std::size_t>(s - 1)];
       std::uint64_t seen = 0;
       try {
         for (;;) {
-          shard.run_round(n, params,
-                          [&queue](const PendingTransfer& t) { queue.push(t); });
+          run_round(s, [&queue](const PendingTransfer& t) { queue.push(t); });
           queue.producer_done();
           if (!gate.await(seen)) return;
         }
       } catch (...) {
         // Keep the round protocol alive so the sequencer never hangs on a
         // dead producer; it will notice the stored error and shut down.
-        error = std::current_exception();
+        worker_errors[static_cast<std::size_t>(s - 1)] =
+            std::current_exception();
         queue.producer_done();
         while (gate.await(seen)) queue.producer_done();
       }
     });
   }
 
-  ReplayResult result;
-  double sum_latency = 0.0;
-  double sum_hops = 0.0;
   std::vector<PendingTransfer> withheld;  // sorted, beyond past windows
   std::vector<PendingTransfer> pending;
   std::vector<PendingTransfer> merged;
-  bool stalled = false;
   std::exception_ptr failure;
-
-  const auto apply_transfer = [&](const PendingTransfer& t) {
-    // Mirrors the serial send path bit for bit: same transfer call, same
-    // stat statements, applied in the same global order.
-    const double arrival = net.transfer(t.src, t.dst, t.bytes, t.start);
-    const double latency = arrival - t.start;
-    sum_latency += latency;
-    result.max_message_latency_s =
-        std::max(result.max_message_latency_s, latency);
-    const int hops = net.switch_hops(t.src, t.dst);
-    sum_hops += hops;
-    result.max_switch_hops = std::max(result.max_switch_hops, hops);
-    ++result.messages;
-    result.bytes += t.bytes;
-    return arrival;
-  };
-
   for (;;) {
     // Run our own shard to quiescence, then collect every other shard's
     // submissions. Draining while workers still run is what makes the
     // bounded queues deadlock-free.
     pending.clear();
-    shards[0].run_round(
-        n, params, [&pending](const PendingTransfer& t) { pending.push_back(t); });
+    run_round(0,
+              [&pending](const PendingTransfer& t) { pending.push_back(t); });
     for (auto& q : queues) {
       while (q->drain(pending)) {
       }
@@ -421,27 +192,22 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
                pending.end(), std::back_inserter(merged));
     withheld.swap(merged);
 
-    int finished = 0;
-    for (const Shard& s : shards) finished += s.finished_ranks();
-    if (finished == n) break;  // remaining withheld transfers flush below
-    if (withheld.empty()) {
-      stalled = true;
-      break;
-    }
+    // All ranks done: the remaining withheld transfers flush below. Nothing
+    // in flight with a rank still waiting: a stall, which finish() reports.
+    int done = 0;
+    for (const int f : finished) done += f;
+    if (done == n || withheld.empty()) break;
 
     // Conservative window: every transfer not yet submitted is downstream
     // of some withheld delivery, so it starts no earlier than the current
     // minimum start plus the lookahead. Everything strictly inside the
-    // window is final and can be sequenced.
+    // window is final and can be sequenced. The workers are parked at the
+    // gate, so the sequencer may write their receivers' channels and wake
+    // flags; the gate's mutex publishes those writes to the next round.
     const double window_end = withheld.front().start + lookahead;
     std::size_t applied = 0;
     while (applied < withheld.size() && withheld[applied].start < window_end) {
-      const PendingTransfer& t = withheld[applied];
-      const double arrival = apply_transfer(t);
-      shards[static_cast<std::size_t>(
-                 shard_of[static_cast<std::size_t>(t.dst)])]
-          .inbox()
-          .push_back({t.dst, t.src, arrival});
+      state.sequence(net, withheld[applied]);
       ++applied;
     }
     withheld.erase(withheld.begin(),
@@ -454,27 +220,10 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
   gate.release(/*exit=*/true);
   for (std::thread& w : workers) w.join();
   if (failure) std::rethrow_exception(failure);
-  if (stalled) {
-    throw Error("replay: trace stalled — receive without a matching send");
-  }
 
   // Unmatched sends: every rank finished but their transfers still owe the
-  // network (and the stats) their traversal, just as in the serial replay.
-  // No rank is left to wake, so deliveries are dropped.
-  for (const PendingTransfer& t : withheld) (void)apply_transfer(t);
-
-  for (const Shard& s : shards) {
-    for (const RankState& rs : s.ranks()) {
-      result.makespan_s = std::max(result.makespan_s, rs.clock);
-      result.total_recv_wait_s += rs.recv_wait;
-    }
-  }
-  if (result.messages > 0) {
-    result.avg_message_latency_s =
-        sum_latency / static_cast<double>(result.messages);
-    result.avg_switch_hops = sum_hops / static_cast<double>(result.messages);
-  }
-  return result;
+  // network (and the stats) their traversal, just as in the serial loop.
+  for (const PendingTransfer& t : withheld) state.sequence(net, t);
 }
 
-}  // namespace hfast::netsim
+}  // namespace hfast::netsim::detail

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "hfast/core/provision.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/trace/window.hpp"
 #include "hfast/util/assert.hpp"
 
@@ -131,14 +130,8 @@ ReconfigReplayResult reconfigurable_replay(const trace::Trace& trace,
     wr.window = w;
     wr.circuits_active = delta.circuits_active;
     wr.reconfigured = delta.reconfigured;
-    if (options.shards == 1) {
-      wr.result = replay(window_trace, net, seeds, options.params);
-    } else {
-      ParallelReplayOptions popts;
-      popts.shards = options.shards;
-      wr.result =
-          parallel_replay(window_trace, net, seeds, options.params, popts);
-    }
+    wr.result = replay(window_trace, net, options.params,
+                       {.shards = options.shards, .seeds = seeds});
 
     // Advance the carried channel occupancy past this window's events. The
     // columns are rank-major, not time-ordered, so tally the window's net

@@ -214,15 +214,36 @@ TEST(BatchRunner, ReplayJobErrorsAreIsolated) {
     return std::make_unique<netsim::DirectNetwork>(tiny, link);
   };
 
+  // replay() would read 0 shards as "hardware concurrency" while the job
+  // is charged one thread, so counts below 1 fail the job by name.
+  for (const int shards : {0, -3}) {
+    ReplayJob j = jobs[0];
+    j.label = "replay K=" + std::to_string(shards);
+    j.shards = shards;
+    jobs.push_back(std::move(j));
+  }
+
   const auto batch = BatchRunner().run_replays(jobs);
-  ASSERT_EQ(batch.errors.size(), 1u);
+  ASSERT_EQ(batch.errors.size(), 3u);
   EXPECT_EQ(batch.errors[0].index, 1u);
   EXPECT_EQ(batch.errors[0].job, "network too small");
   ASSERT_TRUE(batch.results[0].has_value());
-  EXPECT_FALSE(batch.results[1].has_value());
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    EXPECT_FALSE(batch.results[i].has_value());
+  }
+  for (std::size_t e = 1; e < 3; ++e) {
+    const JobError& err = batch.errors[e];
+    const ReplayJob& job = jobs[e + 1];
+    EXPECT_EQ(err.index, e + 1);
+    EXPECT_EQ(err.job, job.label);
+    EXPECT_NE(err.message.find("'" + job.label + "': shards " +
+                               std::to_string(job.shards)),
+              std::string::npos)
+        << err.message;
+  }
 }
 
-TEST(SweepConfigs, CrossProductSkipsInvalidConcurrency) {
+TEST(SweepConfigs,CrossProductSkipsInvalidConcurrency) {
   // 10 is not a valid LBMHD concurrency (needs a square grid, >= 5x5), so
   // the lbmhd x 10 cell drops out while cactus x 10 survives. No
   // experiment runs here — this only exercises config generation.

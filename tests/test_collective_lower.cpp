@@ -27,7 +27,6 @@
 #include "hfast/core/provision.hpp"
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/fcn.hpp"
 #include "hfast/topo/mesh.hpp"
@@ -147,7 +146,7 @@ TEST(CollectiveLower, LoweredSyntheticTraceReplaysWithParity) {
     EXPECT_GT(serial.makespan_s, 0.0);
     for (int shards : {2, 4}) {
       const auto parallel =
-          netsim::parallel_replay(lowered.trace, net, {}, {.shards = shards});
+          netsim::replay(lowered.trace, net, {}, {.shards = shards});
       EXPECT_TRUE(serial == parallel)
           << collective::schedule_name(kind) << " K=" << shards;
     }
@@ -178,7 +177,7 @@ TEST(CollectiveLower, EqualStartBurstsKeepParityOnTheTorus) {
   const auto serial = netsim::replay(lowered.trace, net);
   for (int shards : {2, 4}) {
     const auto parallel =
-        netsim::parallel_replay(lowered.trace, net, {}, {.shards = shards});
+        netsim::replay(lowered.trace, net, {}, {.shards = shards});
     EXPECT_TRUE(serial == parallel) << "K=" << shards;
   }
 }
@@ -199,7 +198,7 @@ TEST(CollectiveLower, ReplayRejectsCollectiveWithPeer) {
   topo::FullyConnected fcn(2);
   netsim::DirectNetwork net(fcn, {});
   EXPECT_THROW(netsim::replay(t, net), Error);
-  EXPECT_THROW(netsim::parallel_replay(t, net, {}, {.shards = 2}), Error);
+  EXPECT_THROW(netsim::replay(t, net, {}, {.shards = 2}), Error);
 }
 
 TEST(CollectiveLower, TextLoaderRejectsCollectiveWithPeer) {
@@ -300,7 +299,7 @@ TEST_P(CollectiveLowerApps, LoweredReplayParityOnEveryNetworkAtP64) {
       const auto serial = netsim::replay(lowered.trace, *net);
       EXPECT_GT(serial.makespan_s, 0.0);
       for (int shards : {2, 4}) {
-        const auto parallel = netsim::parallel_replay(lowered.trace, *net, {},
+        const auto parallel = netsim::replay(lowered.trace, *net, {},
                                                       {.shards = shards});
         EXPECT_TRUE(serial == parallel)
             << app << " on " << net->name() << " ["
@@ -323,7 +322,7 @@ TEST_P(CollectiveLowerApps, LoweredReplayParityAtP256) {
   EXPECT_GT(lowered.stats.p2p_events, 0u);
   const auto serial = netsim::replay(lowered.trace, net);
   const auto parallel =
-      netsim::parallel_replay(lowered.trace, net, {}, {.shards = 4});
+      netsim::replay(lowered.trace, net, {}, {.shards = 4});
   EXPECT_TRUE(serial == parallel) << app;
 }
 

@@ -15,7 +15,6 @@
 #include "hfast/analysis/experiment.hpp"
 #include "hfast/collective/lower.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/trace/trace.hpp"
 
@@ -50,9 +49,9 @@ TEST_P(CollectiveParity, AnalyticScheduleIsBitIdenticalToBaselineReplay) {
 
     for (const int shards : {2, 4}) {
       const auto base_par =
-          netsim::parallel_replay(t, net, {}, {.shards = shards});
+          netsim::replay(t, net, {}, {.shards = shards});
       const auto low_par =
-          netsim::parallel_replay(lowered.trace, net, {}, {.shards = shards});
+          netsim::replay(lowered.trace, net, {}, {.shards = shards});
       EXPECT_TRUE(baseline == base_par) << app << " P=" << nranks;
       EXPECT_TRUE(base_par == low_par)
           << app << " P=" << nranks << " K=" << shards

@@ -43,7 +43,6 @@
 #include "hfast/core/provision.hpp"
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/store/schedule_cache.hpp"
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/mesh.hpp"
@@ -502,7 +501,7 @@ TEST_P(CollectiveSynthParity, SerialAndShardedReplaysAgreeExactly) {
 
       const auto serial = netsim::replay(lowered.trace, *net);
       for (const int shards : {2, 4}) {
-        const auto par = netsim::parallel_replay(lowered.trace, *net, {},
+        const auto par = netsim::replay(lowered.trace, *net, {},
                                                  {.shards = shards});
         EXPECT_TRUE(serial == par)
             << app << " P=" << nranks << " K=" << shards << " on "

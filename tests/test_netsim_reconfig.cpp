@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/netsim/replay_reconfig.hpp"
 #include "hfast/topo/fcn.hpp"
 #include "hfast/trace/trace.hpp"
@@ -52,16 +51,33 @@ TEST(ReconfigReplay, ChannelSeedsSatisfyReceives) {
   EXPECT_THROW(replay(t, net), Error);
 
   const std::vector<ChannelSeed> seeds{{/*receiver=*/1, /*sender=*/0, 1}};
-  const auto seeded = replay(t, net, seeds);
+  const auto seeded = replay(t, net, {}, {.seeds = seeds});
   EXPECT_EQ(seeded.messages, 0u);  // messages are counted at the sender
   EXPECT_GT(seeded.makespan_s, 0.0);
 
-  const auto parallel = parallel_replay(t, net, seeds, {}, {.shards = 2});
+  const auto parallel = replay(t, net, {}, {.shards = 2, .seeds = seeds});
   EXPECT_TRUE(seeded == parallel);
 
   const std::vector<ChannelSeed> bad{{/*receiver=*/5, /*sender=*/0, 1}};
-  EXPECT_THROW(replay(t, net, bad), Error);
-  EXPECT_THROW(parallel_replay(t, net, bad), Error);
+  EXPECT_THROW(replay(t, net, {}, {.seeds = bad}), Error);
+  EXPECT_THROW(replay(t, net, {}, {.shards = 2, .seeds = bad}), Error);
+
+  // A seed on a channel no event touches — what a window's trailing
+  // unmatched send leaves for the next window. It is never received, so
+  // serial and sharded replays both match the unseeded result exactly.
+  TraceRecorder s0(0), s1(1);
+  s0.on_message(1, 64, true);
+  s1.on_message(0, 64, false);
+  const TraceRecorder* matched_recs[] = {&s0, &s1};
+  const auto matched = Trace::merge(matched_recs);
+  const auto unseeded = replay(matched, net);
+  const std::vector<ChannelSeed> idle{{/*receiver=*/0, /*sender=*/1, 1}};
+  const auto idle_serial = replay(matched, net, {}, {.seeds = idle});
+  const auto idle_sharded =
+      replay(matched, net, {}, {.shards = 2, .seeds = idle});
+  EXPECT_EQ(unseeded.messages, 1u);
+  EXPECT_TRUE(idle_serial == idle_sharded);
+  EXPECT_TRUE(idle_serial == unseeded);
 }
 
 TEST(ReconfigReplay, CrossWindowTrafficCompletes) {

@@ -1,6 +1,6 @@
 /// Parity and error-path tests for the partitioned-clock parallel replay.
-/// The contract under test is exact: parallel_replay() must produce a
-/// ReplayResult bitwise equal to serial replay() — same doubles, same
+/// The contract under test is exact: replay() with K > 1 shards must produce
+/// a ReplayResult bitwise equal to the serial replay() — same doubles, same
 /// counters — for every shard count, on synthetic traffic (TSan-covered)
 /// and on all six application traces from the fiber engine.
 
@@ -16,7 +16,6 @@
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/mpisim/engine.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/topo/fcn.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/util/random.hpp"
@@ -122,7 +121,7 @@ TEST(ParallelReplay, MatchesSerialOnRandomTraces) {
     for (const int shards : kShardCounts) {
       DirectNetwork net(torus, link);
       const auto parallel =
-          parallel_replay(t, net, {}, {.shards = shards});
+          replay(t, net, {}, {.shards = shards});
       expect_identical(serial, parallel,
                        "seed=" + std::to_string(seed) +
                            " shards=" + std::to_string(shards));
@@ -137,7 +136,7 @@ TEST(ParallelReplay, MatchesSerialAtP256) {
   DirectNetwork serial_net(torus, link);
   const auto serial = replay(t, serial_net);
   DirectNetwork net(torus, link);
-  const auto parallel = parallel_replay(t, net, {}, {.shards = 4});
+  const auto parallel = replay(t, net, {}, {.shards = 4});
   expect_identical(serial, parallel, "P=256 shards=4");
 }
 
@@ -157,7 +156,7 @@ TEST(ParallelReplay, MatchesSerialOnFabricNetwork) {
   const auto serial = replay(t, serial_net);
   for (const int shards : {2, 4}) {
     FabricNetwork net(prov.fabric, link, 50e-9);
-    const auto parallel = parallel_replay(t, net, {}, {.shards = shards});
+    const auto parallel = replay(t, net, {}, {.shards = shards});
     expect_identical(serial, parallel, "fabric shards=" + std::to_string(shards));
   }
 }
@@ -172,7 +171,7 @@ TEST(ParallelReplay, TinyChannelCapacityStillExact) {
   const auto serial = replay(t, serial_net);
   DirectNetwork net(fcn, link);
   const auto parallel =
-      parallel_replay(t, net, {}, {.shards = 4, .channel_capacity = 1});
+      replay(t, net, {}, {.shards = 4, .channel_capacity = 1});
   expect_identical(serial, parallel, "capacity=1");
 }
 
@@ -183,13 +182,13 @@ TEST(ParallelReplay, ShardCountClampedToRanks) {
   DirectNetwork serial_net(fcn, link);
   const auto serial = replay(t, serial_net);
   DirectNetwork net(fcn, link);
-  const auto parallel = parallel_replay(t, net, {}, {.shards = 64});
+  const auto parallel = replay(t, net, {}, {.shards = 64});
   expect_identical(serial, parallel, "shards=64 on 8 ranks");
 }
 
 TEST(ParallelReplay, ZeroLookaheadFallsBackToSerial) {
   // Zero link latency, zero switch overhead, zero send overhead: the
-  // conservative window degenerates, so parallel_replay must detect it and
+  // conservative window degenerates, so replay() must detect it and
   // produce the serial result anyway.
   const auto t = random_trace(16, 150, 13);
   LinkParams free_link;
@@ -201,7 +200,7 @@ TEST(ParallelReplay, ZeroLookaheadFallsBackToSerial) {
   DirectNetwork serial_net(fcn, free_link);
   const auto serial = replay(t, serial_net, params);
   DirectNetwork net(fcn, free_link);
-  const auto parallel = parallel_replay(t, net, params, {.shards = 4});
+  const auto parallel = replay(t, net, params, {.shards = 4});
   expect_identical(serial, parallel, "zero lookahead");
 }
 
@@ -216,7 +215,7 @@ TEST(ParallelReplay, UnmatchedSendsStillCountedLikeSerial) {
   const auto serial = replay(t, serial_net);
   EXPECT_EQ(serial.messages, 2u);
   DirectNetwork net(fcn, link);
-  const auto parallel = parallel_replay(t, net, {}, {.shards = 2});
+  const auto parallel = replay(t, net, {}, {.shards = 2});
   expect_identical(serial, parallel, "unmatched send");
 }
 
@@ -227,7 +226,7 @@ TEST(ParallelReplay, StalledTraceThrows) {
   const LinkParams link;
   for (const int shards : {1, 2, 4}) {
     DirectNetwork net(fcn, link);
-    EXPECT_THROW((void)parallel_replay(t, net, {}, {.shards = shards}), Error)
+    EXPECT_THROW((void)replay(t, net, {}, {.shards = shards}), Error)
         << "shards=" << shards;
   }
 }
@@ -242,7 +241,7 @@ TEST(ParallelReplay, MalformedRankThrows) {
   DirectNetwork serial_net(fcn, link);
   EXPECT_THROW((void)replay(t, serial_net), Error);
   DirectNetwork net(fcn, link);
-  EXPECT_THROW((void)parallel_replay(t, net, {}, {.shards = 2}), Error);
+  EXPECT_THROW((void)replay(t, net, {}, {.shards = 2}), Error);
 }
 
 TEST(ParallelReplay, MalformedPeerThrows) {
@@ -252,7 +251,7 @@ TEST(ParallelReplay, MalformedPeerThrows) {
   DirectNetwork serial_net(fcn, link);
   EXPECT_THROW((void)replay(t, serial_net), Error);
   DirectNetwork net(fcn, link);
-  EXPECT_THROW((void)parallel_replay(t, net, {}, {.shards = 2}), Error);
+  EXPECT_THROW((void)replay(t, net, {}, {.shards = 2}), Error);
 }
 
 TEST(ParallelReplay, InvalidOptionsRejected) {
@@ -260,10 +259,10 @@ TEST(ParallelReplay, InvalidOptionsRejected) {
   topo::FullyConnected fcn(4);
   const LinkParams link;
   DirectNetwork net(fcn, link);
-  EXPECT_THROW((void)parallel_replay(t, net, {}, {.shards = -1}),
+  EXPECT_THROW((void)replay(t, net, {}, {.shards = -1}),
                ContractViolation);
   EXPECT_THROW(
-      (void)parallel_replay(t, net, {}, {.shards = 2, .channel_capacity = 0}),
+      (void)replay(t, net, {}, {.shards = 2, .channel_capacity = 0}),
       ContractViolation);
 }
 
@@ -306,7 +305,7 @@ TEST_P(ParallelReplayParity, AppTraceMatchesSerialAtEveryShardCount) {
     for (const int shards : kShardCounts) {
       DirectNetwork net(torus, link);
       const auto parallel =
-          parallel_replay(r.trace, net, {}, {.shards = shards});
+          replay(r.trace, net, {}, {.shards = shards});
       expect_identical(serial, parallel,
                        app + " P=" + std::to_string(nranks) +
                            " shards=" + std::to_string(shards));

@@ -23,7 +23,6 @@
 #include "hfast/graph/tdc.hpp"
 #include "hfast/mpisim/engine.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 
 namespace hfast {
 namespace {
@@ -140,7 +139,7 @@ TEST(SmpParity, ReplayIdenticalAtP64SerialAndSharded) {
           << " vs " << serial_smp.makespan_s;
       for (int shards : {2, 4}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        const auto par = netsim::parallel_replay(base.trace, *bundle.net, {},
+        const auto par = netsim::replay(base.trace, *bundle.net, {},
                                                  {.shards = shards});
         EXPECT_TRUE(serial_pre == par)
             << "parallel replay diverged: makespan " << serial_pre.makespan_s

@@ -27,7 +27,6 @@
 #include "hfast/analysis/smp.hpp"
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/replay.hpp"
-#include "hfast/netsim/replay_parallel.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/trace/io.hpp"
 #include "hfast/trace/trace.hpp"
@@ -102,9 +101,9 @@ TEST_P(TraceBinaryApps, ReplayResultIdenticalAcrossFormatsAndReplays) {
   // K-shard partitioned-clock parallel replay.
   netsim::DirectNetwork net_c(torus, link), net_d(torus, link);
   const auto par_text =
-      netsim::parallel_replay(from_text, net_c, {}, {.shards = 4});
+      netsim::replay(from_text, net_c, {}, {.shards = 4});
   const auto par_bin =
-      netsim::parallel_replay(from_bin, net_d, {}, {.shards = 4});
+      netsim::replay(from_bin, net_d, {}, {.shards = 4});
   EXPECT_TRUE(par_text == par_bin) << app << ": 4-shard parity";
   EXPECT_TRUE(serial_text == par_bin) << app << ": serial vs 4-shard parity";
 
