@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "hfast/util/assert.hpp"
 
 #include "hfast/analysis/experiment.hpp"
@@ -88,9 +91,11 @@ INSTANTIATE_TEST_SUITE_P(P, GtcSweep, ::testing::Values(16, 32, 64, 128));
 
 // Collective-plumbing conservation: whatever the kernel, no unmatched
 // messages remain (the runtime's leak check throws otherwise) and the
-// steady profile is nonempty.
+// steady profile is nonempty. The name is a std::string, not a
+// const char*, so the printed parameter (and with it the discovered test
+// name) holds the text and not the literal's address.
 class AllAppsSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 TEST_P(AllAppsSweep, RunsCleanAndProfiles) {
   const auto [name, p] = GetParam();
   const auto r = run_experiment(name, p);
@@ -107,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{"gtc", 32}, std::tuple{"superlu", 25},
                       std::tuple{"pmemd", 24}, std::tuple{"paratec", 24}),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hfast/analysis/experiment.hpp"
 #include "hfast/analysis/paper_tables.hpp"
 #include "hfast/core/classify.hpp"
@@ -21,6 +23,13 @@ struct Expected {
   double tdc_avg;       // paper TDC@2KB avg
   double tdc_avg_tol;
 };
+
+// Prints the row's identity instead of gtest's default byte dump, which
+// holds the address of `app` and the struct's padding and so made the
+// discovered test names differ from build to build.
+void PrintTo(const Expected& e, std::ostream* os) {
+  *os << e.app << " P=" << e.procs;
+}
 
 class Table3Test : public ::testing::TestWithParam<Expected> {};
 
