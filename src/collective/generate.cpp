@@ -32,12 +32,6 @@ namespace {
 using mpisim::CallType;
 using Steps = std::vector<Step>;
 
-int ceil_log2(int n) {
-  int k = 0;
-  while ((1 << k) < n) ++k;
-  return k;
-}
-
 bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
 /// Near-equal split of `payload` into `num` chunks: chunk c's share.

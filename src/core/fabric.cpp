@@ -1,7 +1,6 @@
 #include "hfast/core/fabric.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace hfast::core {
 
@@ -44,11 +43,14 @@ void Fabric::connect_trunk(int block_a, int block_b) {
   const int pa = a.attach_trunk({});
   const int pb = b.attach_trunk({block_a, pa});
   a.set_trunk_peer(pa, {block_b, pb});
-  block_adj_[static_cast<std::size_t>(block_a)].push_back(block_b);
-  block_adj_[static_cast<std::size_t>(block_b)].push_back(block_a);
-  const auto key = block_a < block_b ? std::pair{block_a, block_b}
-                                     : std::pair{block_b, block_a};
-  ++trunk_count_[key];
+  const auto add = [this](int from, int to) {
+    auto& adj = block_adj_[static_cast<std::size_t>(from)];
+    auto it = std::lower_bound(adj.begin(), adj.end(), std::pair{to, 0});
+    if (it == adj.end() || it->first != to) it = adj.insert(it, {to, 0});
+    ++it->second;
+  };
+  add(block_a, block_b);
+  if (block_a != block_b) add(block_b, block_a);
 }
 
 int Fabric::home_block(int node) const {
@@ -56,39 +58,46 @@ int Fabric::home_block(int node) const {
   return home_[static_cast<std::size_t>(node)];
 }
 
+void Fabric::bfs(int root, std::vector<int>& out, bool label) const {
+  std::vector<int> queue{root};
+  out[static_cast<std::size_t>(root)] = root;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int b = queue[head];
+    for (const auto& [n, trunks] : block_adj_[static_cast<std::size_t>(b)]) {
+      if (out[static_cast<std::size_t>(n)] == -1) {
+        out[static_cast<std::size_t>(n)] = label ? root : b;
+        queue.push_back(n);
+      }
+    }
+  }
+}
+
+std::vector<int> Fabric::route_tree(int src_block) const {
+  HFAST_EXPECTS(src_block >= 0 && src_block < num_blocks());
+  std::vector<int> parent(block_adj_.size(), -1);
+  bfs(src_block, parent, false);
+  return parent;
+}
+
 FabricRoute Fabric::route(int u, int v) const {
-  HFAST_EXPECTS(u >= 0 && u < num_nodes_ && v >= 0 && v < num_nodes_);
-  HFAST_EXPECTS(u != v);
+  const int src = home_block(u);
+  return route(u, v, src == -1 ? std::vector<int>{} : route_tree(src));
+}
+
+FabricRoute Fabric::route(int u, int v, const std::vector<int>& tree) const {
+  HFAST_EXPECTS(u != v);  // home_block() checks the range
   const int src = home_block(u);
   const int dst = home_block(v);
   if (src == -1 || dst == -1) {
     throw Error("fabric: route endpoint has no home block");
   }
-  if (src == dst) return FabricRoute{{src}};
-
-  std::vector<int> parent(static_cast<std::size_t>(num_blocks()), -1);
-  std::queue<int> q;
-  parent[static_cast<std::size_t>(src)] = src;
-  q.push(src);
-  while (!q.empty()) {
-    const int b = q.front();
-    q.pop();
-    if (b == dst) break;
-    auto nbrs = block_adj_[static_cast<std::size_t>(b)];
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (int n : nbrs) {
-      if (parent[static_cast<std::size_t>(n)] == -1) {
-        parent[static_cast<std::size_t>(n)] = b;
-        q.push(n);
-      }
-    }
-  }
-  if (parent[static_cast<std::size_t>(dst)] == -1) {
+  HFAST_EXPECTS(tree.size() == blocks_.size() &&
+                tree[static_cast<std::size_t>(src)] == src);  // rooted at src
+  if (tree[static_cast<std::size_t>(dst)] == -1) {
     throw Error("fabric: no trunk path between home blocks");
   }
   FabricRoute r;
-  for (int b = dst; b != src; b = parent[static_cast<std::size_t>(b)]) {
+  for (int b = dst; b != src; b = tree[static_cast<std::size_t>(b)]) {
     r.blocks.push_back(b);
   }
   r.blocks.push_back(src);
@@ -96,28 +105,42 @@ FabricRoute Fabric::route(int u, int v) const {
   return r;
 }
 
-bool Fabric::reachable(int u, int v) const {
-  try {
-    (void)route(u, v);
-    return true;
-  } catch (const Error&) {
-    return false;
+std::vector<int> Fabric::components() const {
+  std::vector<int> component(block_adj_.size(), -1);
+  for (int b = 0; b < num_blocks(); ++b) {
+    if (component[static_cast<std::size_t>(b)] == -1) bfs(b, component, true);
   }
+  return component;
+}
+
+bool Fabric::connected(const std::vector<int>& component, int u, int v) const {
+  HFAST_EXPECTS(u != v);  // home_block() checks the range
+  const int a = home_block(u);
+  const int b = home_block(v);
+  return a != -1 && b != -1 &&
+         component[static_cast<std::size_t>(a)] ==
+             component[static_cast<std::size_t>(b)];
+}
+
+bool Fabric::reachable(int u, int v) const {
+  return connected(components(), u, v);
 }
 
 bool Fabric::serves(const graph::CommGraph& g, std::uint64_t cutoff) const {
+  const std::vector<int> component = components();
   for (const auto& [uv, stats] : g.edges()) {
     if (stats.max_message < cutoff) continue;
-    if (!reachable(uv.first, uv.second)) return false;
+    if (!connected(component, uv.first, uv.second)) return false;
   }
   return true;
 }
 
 int Fabric::trunks_between(int block_a, int block_b) const {
-  const auto key = block_a < block_b ? std::pair{block_a, block_b}
-                                     : std::pair{block_b, block_a};
-  const auto it = trunk_count_.find(key);
-  return it == trunk_count_.end() ? 0 : it->second;
+  HFAST_EXPECTS(block_a >= 0 && block_a < num_blocks());
+  const auto& nbrs = block_adj_[static_cast<std::size_t>(block_a)];
+  const auto it =
+      std::lower_bound(nbrs.begin(), nbrs.end(), std::pair{block_b, 0});
+  return it != nbrs.end() && it->first == block_b ? it->second : 0;
 }
 
 int Fabric::total_host_ports() const {

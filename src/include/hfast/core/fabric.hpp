@@ -12,7 +12,7 @@
 /// block when u and v share a block; 3 traversals / 2 blocks otherwise).
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "hfast/core/switch_block.hpp"
@@ -53,13 +53,23 @@ class Fabric {
   /// Home block of a node (-1 if unattached).
   int home_block(int node) const;
 
+  /// Full BFS of the block graph from `src_block`: the parent of each block
+  /// on its fewest-blocks path (`src_block` is its own parent, -1 marks an
+  /// unreachable block). Neighbours are visited in ascending order, and a
+  /// parent is fixed when its block is discovered, so every path read off
+  /// the tree is the one an early-exit BFS to that block finds.
+  std::vector<int> route_tree(int src_block) const;
+
   /// BFS route (fewest blocks) from u's home block to v's home block.
   /// Throws hfast::Error if no route exists.
   FabricRoute route(int u, int v) const;
+  /// The same route read off `tree`, which is route_tree(home_block(u)).
+  FabricRoute route(int u, int v, const std::vector<int>& tree) const;
 
   bool reachable(int u, int v) const;
 
   /// Every cutoff-surviving edge of `g` is routable through the fabric.
+  /// Labels connected components once: O(blocks + trunks + edges).
   bool serves(const graph::CommGraph& g, std::uint64_t cutoff) const;
 
   /// Number of trunks directly joining the two blocks.
@@ -83,12 +93,19 @@ class Fabric {
   void validate() const;
 
  private:
+  /// BFS from `root` over blocks whose `out` entry is -1, setting each
+  /// block reached to its BFS parent, or to `root` when `label` is set.
+  void bfs(int root, std::vector<int>& out, bool label) const;
+  /// Block -> component id (the lowest block id in it).
+  std::vector<int> components() const;
+  bool connected(const std::vector<int>& component, int u, int v) const;
+
   int num_nodes_;
   int block_size_;
   std::vector<SwitchBlock> blocks_;
-  std::vector<int> home_;                       // node -> block id
-  std::vector<std::vector<int>> block_adj_;     // block -> neighbor blocks
-  std::map<std::pair<int, int>, int> trunk_count_;
+  std::vector<int> home_;  // node -> block id
+  /// block -> (neighbour block, trunks to it), sorted and unique by block.
+  std::vector<std::vector<std::pair<int, int>>> block_adj_;
 };
 
 }  // namespace hfast::core

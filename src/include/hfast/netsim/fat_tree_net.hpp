@@ -34,6 +34,7 @@ class StructuralFatTree final : public LinkNetwork {
   std::string name() const override;
   int num_endpoints() const override { return endpoints_; }
   double transfer(int src, int dst, std::uint64_t bytes, double start) override;
+  void prewarm_route(int /*src*/, int /*dst*/) override {}
   int switch_hops(int src, int dst) const override;
 
   int levels() const noexcept { return levels_; }

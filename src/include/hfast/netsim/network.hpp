@@ -8,7 +8,7 @@
 /// contention comes from.
 ///
 /// State is split in two:
-///  * routing (vertices, links, route caches) is structurally immutable
+///  * routing (vertices, links, route table) is structurally immutable
 ///    once built and — after a prewarm_route() pass over the pairs a
 ///    replay will use — served through genuinely read-only query paths, so
 ///    several replay shards may safely share one network for route/hop
@@ -31,9 +31,10 @@
 ///    latency wins reported for HFAST are conservative.
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hfast/core/fabric.hpp"
@@ -75,10 +76,7 @@ class Network {
   /// (src, dst) a trace contains before simulating a single event; models
   /// with closed-form routing (fat trees) need no warmup and keep the
   /// default no-op.
-  virtual void prewarm_route(int src, int dst) {
-    (void)src;
-    (void)dst;
-  }
+  virtual void prewarm_route(int /*src*/, int /*dst*/) {}
 
   /// Conservative lower bound on (arrival - injection) for any transfer
   /// between distinct endpoints. The partitioned-clock parallel replay
@@ -87,22 +85,51 @@ class Network {
   virtual double min_transfer_latency_s() const { return 0.0; }
 };
 
-/// Shared machinery: a vertex/link store with occupancy tracking. Link
-/// structure (endpoints, parameters) is immutable after construction; the
-/// only mutable replay state is the parallel `free_at_` occupancy array.
+/// Flat route store: entries in one vector, their link ids in one arena,
+/// and an open-addressing hash index on the key src * n + dst. Memory grows
+/// with the routes stored, never with n^2, and lookups do not depend on
+/// where the allocator placed anything.
+class RouteTable {
+ public:
+  /// A route: its key, where its link ids sit in the arena, its hops.
+  struct Entry { std::uint64_t key; std::uint32_t first, count; int hops; };
+
+  const Entry* find(std::uint64_t key) const;
+  /// Stores a route for a key not yet in the table.
+  const Entry& insert(std::uint64_t key, std::span<const int> links, int hops);
+  std::span<const int> links(const Entry& e) const {
+    return {arena_.data() + e.first, e.count};
+  }
+
+ private:
+  std::size_t home_slot(std::uint64_t key) const {  // Fibonacci hashing
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+           (slots_.size() - 1);
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<int> arena_;
+  std::vector<std::uint32_t> slots_;  ///< entry + 1, 0 = empty; size 2^k
+};
+
+/// Shared machinery: a vertex/link store with occupancy tracking and the
+/// route table. Link structure (endpoints, parameters) is immutable after
+/// construction; the only mutable replay state is the parallel `free_at_`
+/// occupancy array.
 class LinkNetwork : public Network {
  public:
   void reset() override;
   double min_transfer_latency_s() const override;
+  /// Streams along the route table's path (built on first use); models
+  /// that route in closed form override this and prewarm_route().
+  double transfer(int src, int dst, std::uint64_t bytes, double start) override;
+  void prewarm_route(int src, int dst) override { (void)route_entry(src, dst); }
 
  protected:
-  struct Link {
-    int from = -1;
-    int to = -1;
-    LinkParams params;
-  };
-
-  int add_vertex() { return num_vertices_++; }
+  int add_vertex() {
+    out_links_.emplace_back();
+    return num_vertices_++;
+  }
   /// Adds the two directed links of a full-duplex connection; returns the
   /// forward link id (the reverse is id+1).
   int add_duplex_link(int a, int b, const LinkParams& params);
@@ -112,17 +139,31 @@ class LinkNetwork : public Network {
   int add_directed_link(int from, int to, const LinkParams& params);
 
   /// Stream a message along the link-id path.
-  double traverse(const std::vector<int>& link_path, std::uint64_t bytes,
+  double traverse(std::span<const int> link_path, std::uint64_t bytes,
                   double start);
 
-  /// Directed link id from a to b (must exist).
+  /// Directed link id from a to b (must exist). Of parallel links, the
+  /// first added wins; occupancy is still per link.
   int link_between(int a, int b) const;
 
+  /// The stored route of (src, dst), built by build_route() on a miss.
+  const RouteTable::Entry& route_entry(int src, int dst);
+  /// Fills `links` with the src -> dst link path; returns its switch hops.
+  virtual int build_route(int src, int dst, std::vector<int>& links);
+
+  std::uint64_t route_key(int src, int dst) const {
+    return static_cast<std::uint64_t>(src) *
+               static_cast<std::uint64_t>(num_vertices_) +
+           static_cast<std::uint64_t>(dst);
+  }
+
   int num_vertices_ = 0;
-  std::vector<Link> links_;
-  std::map<std::pair<int, int>, int> link_index_;
+  std::vector<LinkParams> links_;  ///< link id -> its parameters
+  RouteTable routes_;
 
  private:
+  /// vertex -> (head vertex, link id) of its out-links, sorted.
+  std::vector<std::vector<std::pair<int, int>>> out_links_;
   /// Per-replay mutable state, kept apart from the immutable link table:
   /// when each directed link next goes idle. Sized on first use so derived
   /// constructors may keep adding links after base construction.
@@ -135,18 +176,15 @@ class DirectNetwork final : public LinkNetwork {
 
   std::string name() const override { return "direct:" + topo_.name(); }
   int num_endpoints() const override { return topo_.num_nodes(); }
-  double transfer(int src, int dst, std::uint64_t bytes, double start) override;
   int switch_hops(int src, int dst) const override;
-  void prewarm_route(int src, int dst) override;
 
  private:
-  const std::vector<int>& path_links(int src, int dst);
+  int build_route(int src, int dst, std::vector<int>& links) override;
 
   const topo::DirectTopology& topo_;
-  std::map<std::pair<int, int>, std::vector<int>> route_cache_;
 };
 
-class FabricNetwork final : public LinkNetwork {
+class FabricNetwork : public LinkNetwork {
  public:
   /// `circuit` parameterizes node-fabric and trunk links (no switching
   /// logic: zero overhead is typical); `block_overhead_s` is the packet
@@ -155,24 +193,41 @@ class FabricNetwork final : public LinkNetwork {
                 double block_overhead_s);
 
   std::string name() const override { return "hfast-fabric"; }
-  int num_endpoints() const override { return fabric_.num_nodes(); }
-  double transfer(int src, int dst, std::uint64_t bytes, double start) override;
+  int num_endpoints() const override {
+    return static_cast<int>(node_of_task_.size());
+  }
   int switch_hops(int src, int dst) const override;
-  void prewarm_route(int src, int dst) override;
 
- private:
-  /// One prewarmed route: the link path and its hop count together, so the
-  /// const switch_hops() query never has to mutate a side table.
-  struct RouteEntry {
-    std::vector<int> links;
-    int hops = 0;
-  };
+ protected:
+  /// Endpoints are tasks, `node_of_task` places them on the fabric's nodes,
+  /// and a node hosting several tasks reaches them through a backplane hub
+  /// (see SmpFabricNetwork). One task per node builds no hub and no
+  /// backplane link, leaving exactly the network of the public constructor.
+  FabricNetwork(const core::Fabric& fabric, std::vector<int> node_of_task,
+                const LinkParams& circuit, const LinkParams& backplane,
+                double block_overhead_s);
 
-  const RouteEntry& route_entry(int src, int dst);
-  int block_vertex(int block_id) const { return fabric_.num_nodes() + block_id; }
+  bool is_hub(int vertex) const {
+    return vertex >= static_cast<int>(node_of_task_.size());
+  }
 
   const core::Fabric& fabric_;
-  std::map<std::pair<int, int>, RouteEntry> route_cache_;
+  std::vector<int> node_of_task_;
+  /// node -> the vertex standing in for it on the fabric tier: its
+  /// backplane hub when it hosts several tasks, else its lone task.
+  std::vector<int> node_vertex_;
+
+ private:
+  int build_route(int src, int dst, std::vector<int>& links) override;
+  int block_vertex(int block_id) const { return first_block_vertex_ + block_id; }
+
+  int first_block_vertex_ = 0;
+  /// BFS route tree of the last source block routed from. Prewarm loops run
+  /// source-major (trace columns are sorted by rank), so this one slot
+  /// serves nearly every route; any other order is only slower. A tree per
+  /// block would hold P x blocks ints at scale.
+  int tree_block_ = -1;
+  std::vector<int> tree_;
 };
 
 class FatTreeNetwork final : public LinkNetwork {
@@ -182,6 +237,7 @@ class FatTreeNetwork final : public LinkNetwork {
   std::string name() const override { return tree_.name(); }
   int num_endpoints() const override { return tree_.num_procs(); }
   double transfer(int src, int dst, std::uint64_t bytes, double start) override;
+  void prewarm_route(int /*src*/, int /*dst*/) override {}
   int switch_hops(int src, int dst) const override {
     return tree_.switch_traversals(src, dst);
   }

@@ -8,10 +8,9 @@
 /// Model:
 ///  * A node hosting a single task IS that task — no backplane hop, no
 ///    extra vertex. The core owns the NIC, exactly the paper's baseline
-///    single-processor-node picture. At cores_per_node = 1 this makes the
-///    network structurally identical to FabricNetwork over the same
-///    fabric, so replay results are bit-identical to the pre-SMP path
-///    (the SmpParity contract).
+///    single-processor-node picture. FabricNetwork is this model with one
+///    task per node, so at cores_per_node = 1 replay results are
+///    bit-identical to the pre-SMP path (the SmpParity contract).
 ///  * A node hosting several tasks gets a backplane hub vertex; each
 ///    co-resident task attaches to it by a duplex backplane link. Traffic
 ///    between co-resident tasks crosses two backplane links (src -> hub ->
@@ -20,7 +19,7 @@
 ///    backplane. Contention on the shared hub links is exactly the
 ///    bandwidth-localization price the mode exists to study.
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "hfast/netsim/network.hpp"
@@ -32,7 +31,7 @@ namespace hfast::netsim {
 inline constexpr LinkParams kBackplaneDefaults{
     /*latency_s=*/100e-9, /*bandwidth_bps=*/16e9, /*switch_overhead_s=*/0.0};
 
-class SmpFabricNetwork final : public LinkNetwork {
+class SmpFabricNetwork final : public FabricNetwork {
  public:
   /// `fabric` is the node-level provisioned fabric (fabric.num_nodes() ==
   /// number of SMP nodes); `node_of_task` maps each task endpoint to its
@@ -40,17 +39,11 @@ class SmpFabricNetwork final : public LinkNetwork {
   /// FabricNetwork; `backplane` parameterizes the intra-node tier.
   SmpFabricNetwork(const core::Fabric& fabric, std::vector<int> node_of_task,
                    const LinkParams& circuit, const LinkParams& backplane,
-                   double block_overhead_s);
+                   double block_overhead_s)
+      : FabricNetwork(fabric, std::move(node_of_task), circuit, backplane,
+                      block_overhead_s) {}
 
   std::string name() const override { return "hfast-smp-fabric"; }
-  int num_endpoints() const override {
-    return static_cast<int>(node_of_task_.size());
-  }
-  double transfer(int src, int dst, std::uint64_t bytes, double start) override;
-  /// Zero for co-resident tasks (backplane only); the node-level fabric's
-  /// block count otherwise.
-  int switch_hops(int src, int dst) const override;
-  void prewarm_route(int src, int dst) override;
 
   int num_nodes() const { return fabric_.num_nodes(); }
   int node_of_task(int task) const {
@@ -61,27 +54,8 @@ class SmpFabricNetwork final : public LinkNetwork {
   }
   /// True when the node hosts >= 2 tasks (has a backplane hub vertex).
   bool node_has_backplane(int node) const {
-    return hub_of_node_[static_cast<std::size_t>(node)] != -1;
+    return is_hub(node_vertex_[static_cast<std::size_t>(node)]);
   }
-
- private:
-  struct RouteEntry {
-    std::vector<int> links;
-    int hops = 0;
-  };
-
-  /// Vertex standing in for node n on the fabric tier: its hub when
-  /// multi-occupancy, else its lone task.
-  int node_vertex(int node) const;
-  int block_vertex(int block_id) const;
-  const RouteEntry& route_entry(int src, int dst);
-
-  const core::Fabric& fabric_;
-  std::vector<int> node_of_task_;
-  std::vector<int> hub_of_node_;   ///< node -> hub vertex (-1 = single task)
-  std::vector<int> task_of_node_;  ///< node -> lone task (-1 = multi)
-  int first_block_vertex_ = 0;
-  std::map<std::pair<int, int>, RouteEntry> route_cache_;
 };
 
 }  // namespace hfast::netsim
