@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "hfast/collective/generate.hpp"
 #include "hfast/collective/verify.hpp"
@@ -12,8 +14,39 @@
 
 namespace hfast::collective {
 
-double estimate_cost(const Schedule& schedule, const CostParams& params,
-                     const HopFn& hops) {
+HopTable::HopTable(int nranks, HopFn hops)
+    : n_(nranks), cells_(std::make_shared<Cells>()) {
+  HFAST_EXPECTS_MSG(nranks >= 0 && nranks <= kMaxRanks,
+                    "HopTable: nranks outside [0, kMaxRanks]");
+  const auto n = static_cast<std::size_t>(nranks);
+  cells_->oracle = std::move(hops);
+  cells_->hops = std::make_unique_for_overwrite<int[]>(n * n);
+  std::fill_n(cells_->hops.get(), n * n, -1);
+  for (std::size_t i = 0; i < n; ++i) cells_->hops[i * n + i] = 0;
+}
+
+int HopTable::read(int u, int v, std::size_t at) const {
+  const int h = cells_->oracle ? cells_->oracle(u, v) : 1;
+  cells_->hops[at] = h;
+  return h;
+}
+
+HopFn tabulate_hops(int nranks, HopFn hops) {
+  if (!hops || nranks > HopTable::kMaxRanks) return hops;
+  if (const HopTable* t = hops.target<HopTable>();
+      t != nullptr && t->nranks() >= nranks) {
+    return hops;
+  }
+  return HopTable(nranks, std::move(hops));
+}
+
+namespace {
+
+/// estimate_cost over any hop source; one body, so pricing through a
+/// table and through the oracle it was read from is bit-identical.
+template <typename Hops>
+double cost_over(const Schedule& schedule, const CostParams& params,
+                 const Hops& hops) {
   const int n = schedule.nranks;
   std::vector<std::uint64_t> out(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> in(static_cast<std::size_t>(n), 0);
@@ -32,7 +65,7 @@ double estimate_cost(const Schedule& schedule, const CostParams& params,
       }
       out[static_cast<std::size_t>(op.src)] += op.bytes;
       in[static_cast<std::size_t>(op.dst)] += op.bytes;
-      const int h = hops ? hops(op.src, op.dst) : 1;
+      const int h = hops(op.src, op.dst);
       latency = std::max(latency,
                          params.base_latency_s + h * params.per_hop_s);
     }
@@ -49,6 +82,17 @@ double estimate_cost(const Schedule& schedule, const CostParams& params,
     total += latency + static_cast<double>(serial) / params.bandwidth_bps;
   }
   return total;
+}
+
+}  // namespace
+
+double estimate_cost(const Schedule& schedule, const CostParams& params,
+                     const HopFn& hops) {
+  if (const HopTable* t = hops.target<HopTable>()) {
+    return cost_over(schedule, params, *t);
+  }
+  if (!hops) return cost_over(schedule, params, [](int, int) { return 1; });
+  return cost_over(schedule, params, hops);
 }
 
 Schedule select_schedule(mpisim::CallType call, int nranks,

@@ -89,19 +89,25 @@ LowerResult lower_trace(const trace::Trace& in, const LowerOptions& opts) {
   stats.collective_events = instances * static_cast<std::size_t>(n);
 
   // --- resolve one schedule per distinct (call, payload) ------------------
-  // kSynth searches per signature; its options (and the O(P^2) topology
-  // digest, only needed when a memo is attached) are derived once here.
+  // kAuto and kSynth price every signature under the topology's hops: one
+  // HopTable per lowering serves the selector, every search and the memo's
+  // topology digest, so each pair is asked of the oracle at most once.
+  const bool priced = opts.config.schedule == ScheduleKind::kAuto ||
+                      opts.config.schedule == ScheduleKind::kSynth;
+  const HopFn hops = priced ? tabulate_hops(n, opts.hops) : opts.hops;
+  // kSynth searches per signature; its options (and the topology digest,
+  // only needed when a memo is attached) are derived once here.
   SynthesisOptions sopts;
   if (opts.config.schedule == ScheduleKind::kSynth) {
     sopts.cost = opts.cost;
-    sopts.hops = opts.hops;
+    sopts.hops = hops;
     sopts.node_of_rank = opts.node_of_rank;
     sopts.seed = opts.config.synth_seed;
     sopts.beam_width = opts.config.synth_beam;
     sopts.rounds = opts.config.synth_rounds;
     sopts.memo = opts.synth_memo;
     if (sopts.memo != nullptr) {
-      sopts.topology_digest = topology_hash(n, opts.hops);
+      sopts.topology_digest = topology_hash(n, hops);
     }
   }
   std::map<std::pair<mpisim::CallType, std::uint64_t>, Template> cache;
@@ -129,7 +135,7 @@ LowerResult lower_trace(const trace::Trace& in, const LowerOptions& opts) {
           opts.node_of_rank.empty() ? nullptr : &opts.node_of_rank;
       const Schedule schedule =
           opts.config.schedule == ScheduleKind::kAuto
-              ? select_schedule(call, n, payload, opts.cost, opts.hops, map)
+              ? select_schedule(call, n, payload, opts.cost, hops, map)
           : opts.config.schedule == ScheduleKind::kSynth
               ? synthesize(call, n, payload, sopts).schedule
               : resolve_schedule(opts.config.schedule, call, n, payload, map);

@@ -1,7 +1,8 @@
 /// \file synthesize.cpp
 /// Bounded search over step-structured collective schedules. See
 /// synthesize.hpp for the contracts (frontier seeded from the canned
-/// families, every candidate validator-proven, deterministic tie-break).
+/// families, every admitted candidate validator-proven, deterministic
+/// tie-break).
 ///
 /// Search space, concretely:
 ///  * canned seeds: exactly select_schedule's candidate set, so the
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <numeric>
 #include <optional>
@@ -47,8 +49,9 @@ using mpisim::CallType;
 /// Above this much validator state (bytes), proving candidates is no
 /// longer affordable and synthesize() falls back to the kAuto pick.
 constexpr std::uint64_t kMaxValidatorBytes = std::uint64_t{64} << 20;
-/// Deriving rank orders is O(P^2) hop queries; skip permutations above.
-constexpr int kMaxPermRanks = 1024;
+/// Deriving rank orders is O(P^2) hop queries, the budget of a dense hop
+/// table; skip permutations above.
+constexpr int kMaxPermRanks = HopTable::kMaxRanks;
 
 // -------------------------------------------------------------------------
 // Deterministic PRNG (never std::mt19937: the byte-stable-per-seed contract
@@ -129,12 +132,22 @@ Schedule shell(CallType call, int n, std::uint64_t payload, int num_chunks) {
 
 int order_size(const std::vector<int>& r) { return static_cast<int>(r.size()); }
 
+/// Partners per position in a radix round at stride h: the j in
+/// [1, radix) with j * h < n.
+std::size_t partner_count(int n, int radix, std::int64_t h) {
+  return static_cast<std::size_t>(
+      std::min<std::int64_t>(radix - 1, (n - 1) / h));
+}
+
 Schedule knomial_bcast_over(const std::vector<int>& r, std::uint64_t payload,
                             int k, CallType call) {
   const int n = order_size(r);
   Schedule s = shell(call, n, payload, 1);
   for (std::int64_t stride = 1; stride < n; stride *= k) {
     Step step;
+    // Positions [stride, min(k * stride, n)) each hear from one sender.
+    step.sends.reserve(static_cast<std::size_t>(
+        std::min<std::int64_t>((k - 1) * stride, n - stride)));
     const std::int64_t informed = std::min<std::int64_t>(stride, n);
     for (std::int64_t i = 0; i < informed; ++i) {
       for (int j = 1; j < k; ++j) {
@@ -155,8 +168,10 @@ Schedule knomial_reduce_over(const std::vector<int>& r, std::uint64_t payload,
                              int k, CallType call) {
   Schedule b = knomial_bcast_over(r, payload, k, call);
   Schedule s = shell(call, order_size(r), payload, 1);
+  s.steps.reserve(b.steps.size());
   for (auto it = b.steps.rbegin(); it != b.steps.rend(); ++it) {
     Step step;
+    step.sends.reserve(it->sends.size());
     for (const SendOp& op : it->sends) {
       step.sends.push_back({op.dst, op.src, payload, {0}});
     }
@@ -171,6 +186,7 @@ Schedule knomial_allreduce_over(const std::vector<int>& r,
   Schedule bc = knomial_bcast_over(r, payload, k, call);
   Schedule s = shell(call, order_size(r), payload, 1);
   s.steps = std::move(red.steps);
+  s.steps.reserve(s.steps.size() + bc.steps.size());
   for (Step& step : bc.steps) s.steps.push_back(std::move(step));
   return s;
 }
@@ -183,6 +199,8 @@ Schedule dissemination_over(const std::vector<int>& r, std::uint64_t payload,
   Schedule s = shell(call, n, payload, 1);
   for (std::int64_t h = 1; h < n; h *= radix) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n) *
+                       partner_count(n, radix, h));
     for (int i = 0; i < n; ++i) {
       for (int j = 1; j < radix; ++j) {
         const std::int64_t dist = static_cast<std::int64_t>(j) * h;
@@ -201,8 +219,10 @@ Schedule ring_allgather_over(const std::vector<int>& r,
                              std::uint64_t payload) {
   const int n = order_size(r);
   Schedule s = shell(CallType::kAllgather, n, payload, n);
+  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
   for (int t = 0; t + 1 < n; ++t) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const int from = ((i - t) % n + n) % n;  // block received t steps ago
       step.sends.push_back({r[static_cast<std::size_t>(i)],
@@ -220,8 +240,10 @@ Schedule ring_reduce_scatter_over(const std::vector<int>& r,
   Schedule s = shell(CallType::kReduceScatter, n, payload, n);
   // Chunk for position c circulates from position c+1 to its home c,
   // folding every position's contribution on the way.
+  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
   for (int t = 0; t + 1 < n; ++t) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const int c = ((i - t - 1) % n + n) % n;
       step.sends.push_back({r[static_cast<std::size_t>(i)],
@@ -241,10 +263,12 @@ Schedule ring_allreduce_over(const std::vector<int>& r,
   const std::uint64_t share =
       (payload + static_cast<std::uint64_t>(n) - 1) /
       static_cast<std::uint64_t>(n);
+  s.steps.reserve(2 * static_cast<std::size_t>(n - 1));
   // Reduce-scatter phase: chunk c (a vector segment, position-labeled)
   // accumulates around the ring and lands fully reduced at position c.
   for (int t = 0; t + 1 < n; ++t) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const int c = ((i - t - 1) % n + n) % n;
       step.sends.push_back({r[static_cast<std::size_t>(i)],
@@ -256,6 +280,7 @@ Schedule ring_allreduce_over(const std::vector<int>& r,
   // Allgather phase: the reduced chunks circulate to every position.
   for (int t = 0; t + 1 < n; ++t) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const int c = ((i - t) % n + n) % n;
       step.sends.push_back({r[static_cast<std::size_t>(i)],
@@ -276,16 +301,24 @@ Schedule bruck_allgather_over(const std::vector<int>& r,
   const int n = order_size(r);
   Schedule s = shell(CallType::kAllgather, n, payload, n);
   if (n <= 1) return s;
-  std::vector<char> held(static_cast<std::size_t>(n) * n, 0);
-  const auto at = [n](int p, int q) {
-    return static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
-           static_cast<std::size_t>(q);
+  // Bit q of row p: position p holds position q's block.
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  std::vector<std::uint64_t> held(static_cast<std::size_t>(n) * words, 0);
+  const auto at = [words](int p, std::size_t w) {
+    return static_cast<std::size_t>(p) * words + w;
   };
-  for (int p = 0; p < n; ++p) held[at(p, p)] = 1;
+  for (int p = 0; p < n; ++p) {
+    held[at(p, static_cast<std::size_t>(p) / 64)] |= std::uint64_t{1}
+                                                     << (p % 64);
+  }
   int h = 1;
   while (h < n) {
     Step step;
-    std::vector<char> next = held;
+    step.sends.reserve(static_cast<std::size_t>(n) *
+                       partner_count(n, radix, h));  // an upper bound
+    // next starts as held and only gains blocks, so "the receiver lacks
+    // it, before and during the round" is one test against next.
+    std::vector<std::uint64_t> next = held;
     for (int j = 1; j < radix; ++j) {
       const std::int64_t dist = static_cast<std::int64_t>(j) * h;
       if (dist >= n) break;
@@ -293,10 +326,13 @@ Schedule bruck_allgather_over(const std::vector<int>& r,
         const int src = static_cast<int>((p + dist) % n);
         SendOp op{r[static_cast<std::size_t>(src)],
                   r[static_cast<std::size_t>(p)], 0, {}};
-        for (int q = 0; q < n; ++q) {
-          if (held[at(src, q)] && !held[at(p, q)] && !next[at(p, q)]) {
-            op.chunks.push_back(r[static_cast<std::size_t>(q)]);
-            next[at(p, q)] = 1;
+        for (std::size_t w = 0; w < words; ++w) {
+          std::uint64_t fresh = held[at(src, w)] & ~next[at(p, w)];
+          next[at(p, w)] |= fresh;
+          for (; fresh != 0; fresh &= fresh - 1) {
+            const std::size_t q =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(fresh));
+            op.chunks.push_back(r[q]);
           }
         }
         if (!op.chunks.empty()) {
@@ -309,7 +345,9 @@ Schedule bruck_allgather_over(const std::vector<int>& r,
     if (step.sends.empty()) break;  // defensive; j=1 always makes progress
     s.steps.push_back(std::move(step));
     int count = 0;
-    for (int q = 0; q < n; ++q) count += held[at(0, q)];
+    for (std::size_t w = 0; w < words; ++w) {
+      count += std::popcount(held[at(0, w)]);
+    }
     h = count;
   }
   return s;
@@ -324,16 +362,27 @@ Schedule bruck_alltoall_over(const std::vector<int>& r, std::uint64_t payload,
   Schedule s = shell(call, n, payload, std::max(n * n, 1));
   for (std::int64_t h = 1; h < n; h *= radix) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n) *
+                       partner_count(n, radix, h));  // an upper bound
+    // Per ring distance: its digit at weight h, and its remainder below h.
+    std::vector<int> digit(static_cast<std::size_t>(n));
+    std::vector<int> below(static_cast<std::size_t>(n));
+    for (int dist = 0; dist < n; ++dist) {
+      digit[static_cast<std::size_t>(dist)] =
+          static_cast<int>((dist / h) % radix);
+      below[static_cast<std::size_t>(dist)] = static_cast<int>(dist % h);
+    }
     // Deterministic bucket order: (holder position, digit value) ascending.
     std::vector<std::vector<int>> bucket(
         static_cast<std::size_t>(n) * static_cast<std::size_t>(radix));
     for (int o = 0; o < n; ++o) {
       for (int d = 0; d < n; ++d) {
-        const int dist = ((d - o) % n + n) % n;
+        const int dist = d >= o ? d - o : d - o + n;
         if (dist == 0) continue;
-        const int v = static_cast<int>((dist / h) % radix);
+        const int v = digit[static_cast<std::size_t>(dist)];
         if (v == 0) continue;
-        const int holder = static_cast<int>((o + dist % h) % n);
+        int holder = o + below[static_cast<std::size_t>(dist)];
+        if (holder >= n) holder -= n;
         bucket[static_cast<std::size_t>(holder) * radix + v].push_back(
             r[static_cast<std::size_t>(o)] * n +
             r[static_cast<std::size_t>(d)]);
@@ -359,8 +408,10 @@ Schedule pairwise_alltoall_over(const std::vector<int>& r,
                                 std::uint64_t payload, CallType call) {
   const int n = order_size(r);
   Schedule s = shell(call, n, payload, std::max(n * n, 1));
+  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
   for (int off = 1; off < n; ++off) {
     Step step;
+    step.sends.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const int dst = (i + off) % n;
       step.sends.push_back({r[static_cast<std::size_t>(i)],
@@ -549,9 +600,12 @@ std::vector<ParamGen> parametric_generators(CallType call, int n) {
   return gens;
 }
 
-struct Candidate {
-  Schedule schedule;
+/// What the search keeps of a candidate: its place in the search order
+/// (better()) and how to re-instantiate it. Only the best keeps a schedule.
+struct Entry {
   double cost = 0.0;
+  std::size_t steps = 0;
+  std::size_t sends = 0;
   std::size_t index = 0;  // generation order; final tie-break
   Gen gen = Gen::kCanned;
   int param = 0;
@@ -560,46 +614,70 @@ struct Candidate {
 
 /// Tie-break contract: (cost, fewer steps, fewer sends, earlier generation
 /// index) — total and deterministic, so a fixed seed is byte-stable.
-bool better(const Candidate& a, const Candidate& b) {
+bool better(const Entry& a, const Entry& b) {
   if (a.cost != b.cost) return a.cost < b.cost;
-  if (a.schedule.steps.size() != b.schedule.steps.size()) {
-    return a.schedule.steps.size() < b.schedule.steps.size();
-  }
-  const std::size_t sa = a.schedule.total_sends();
-  const std::size_t sb = b.schedule.total_sends();
-  if (sa != sb) return sa < sb;
+  if (a.steps != b.steps) return a.steps < b.steps;
+  if (a.sends != b.sends) return a.sends < b.sends;
   return a.index < b.index;
+}
+
+/// What pricing needs of an unproven schedule: every endpoint a rank and
+/// no self-send (estimate_cost tallies bytes per endpoint, and network hop
+/// oracles reject u == v). The validator rejects both as well.
+bool priceable(const Schedule& s) {
+  for (const Step& step : s.steps) {
+    for (const SendOp& op : step.sends) {
+      if (op.src < 0 || op.src >= s.nranks || op.dst < 0 ||
+          op.dst >= s.nranks || op.src == op.dst) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 class Searcher {
  public:
   Searcher(CallType call, int n, std::uint64_t payload,
-           const SynthesisOptions& opts)
-      : call_(call), n_(n), payload_(payload), opts_(opts) {}
+           const SynthesisOptions& opts, const HopFn& hops)
+      : call_(call), n_(n), payload_(payload), opts_(opts), hops_(hops) {}
 
-  /// Validate + cost a structure; admit it to the frontier (and the
-  /// refinement beam, when perm-bearing) if it survives.
+  /// Price a structure, then prove it only if it would change the search
+  /// state: become the best, or survive the beam cut. Exactness: better()
+  /// is a strict total order (the index is unique), so a candidate that
+  /// would do neither leaves the state as it was, valid or not, and one
+  /// that fails its proof is dropped, which also leaves it as it was. The
+  /// admitted sequence, and so the winner, is that of proving every
+  /// candidate first; and every admitted candidate is proved.
   void consider(Schedule s, Gen gen, int param, std::vector<int> perm) {
     const std::size_t index = candidates_++;
+    if (!priceable(s)) return;
+    Entry e{estimate_cost(s, opts_.cost, hops_),
+            s.steps.size(),
+            s.total_sends(),
+            index,
+            gen,
+            param,
+            {}};
+    const bool to_best = !best_.has_value() || better(e, best_->entry);
+    const auto width =
+        static_cast<std::size_t>(std::max(1, opts_.beam_width));
+    const auto slot = std::lower_bound(beam_.begin(), beam_.end(), e, better);
+    const bool to_beam =
+        gen != Gen::kCanned && !perm.empty() &&
+        static_cast<std::size_t>(slot - beam_.begin()) < width;
+    if (!to_best && !to_beam) return;
     try {
       validate_schedule(s);
     } catch (const Error&) {
       return;  // structurally or semantically invalid: not admissible
     }
     ++validated_;
-    Candidate c;
-    c.cost = estimate_cost(s, opts_.cost, opts_.hops);
-    c.schedule = std::move(s);
-    c.index = index;
-    c.gen = gen;
-    c.param = param;
-    c.perm = std::move(perm);
-    if (!best_.has_value() || better(c, *best_)) best_ = c;
-    if (c.gen != Gen::kCanned && !c.perm.empty()) {
-      beam_.push_back(std::move(c));
-      std::sort(beam_.begin(), beam_.end(), better);
-      const auto width = static_cast<std::size_t>(std::max(1, opts_.beam_width));
-      if (beam_.size() > width) beam_.resize(width);
+    if (to_best) best_ = Best{e, std::move(s)};
+    if (to_beam) {
+      e.perm = std::move(perm);
+      beam_.insert(slot, std::move(e));
+      if (beam_.size() > width) beam_.pop_back();
     }
   }
 
@@ -621,7 +699,7 @@ class Searcher {
       if (!canned.has_value()) continue;
       // Track the kAuto baseline from the same candidates (same tie-break
       // as select_schedule: lowest enum on equal cost).
-      const double cost = estimate_cost(*canned, opts_.cost, opts_.hops);
+      const double cost = estimate_cost(*canned, opts_.cost, hops_);
       if (!auto_cost_.has_value() || cost < *auto_cost_ ||
           (cost == *auto_cost_ &&
            static_cast<int>(kind) < static_cast<int>(auto_algo_))) {
@@ -636,9 +714,9 @@ class Searcher {
     std::vector<std::vector<int>> orders;
     orders.push_back(iota_order(n_));
     if (n_ >= 3 && n_ <= kMaxPermRanks) {
-      if (opts_.hops) {
-        orders.push_back(greedy_tour(n_, opts_.hops));
-        orders.push_back(distance_sorted(n_, opts_.hops));
+      if (hops_) {
+        orders.push_back(greedy_tour(n_, hops_));
+        orders.push_back(distance_sorted(n_, hops_));
       }
       orders.push_back(random_order(n_, lcg));
       orders.push_back(random_order(n_, lcg));
@@ -669,10 +747,10 @@ class Searcher {
     for (int round = 0; round < std::max(0, opts_.rounds); ++round) {
       bool improved = false;
       const int proposals = std::max(1, opts_.beam_width) + 2 * round;
-      // Index-based loop: consider() may grow/re-sort beam_; work on a
-      // snapshot so the proposal sequence stays deterministic.
-      const std::vector<Candidate> snapshot = beam_;
-      for (const Candidate& e : snapshot) {
+      // consider() may reorder and cut beam_; work on a snapshot so the
+      // proposal sequence stays deterministic.
+      const std::vector<Entry> snapshot = beam_;
+      for (const Entry& e : snapshot) {
         for (int t = 0; t < proposals; ++t) {
           const int span = n_ - 1;
           const int a = 1 + static_cast<int>(
@@ -685,10 +763,11 @@ class Searcher {
                     perm[static_cast<std::size_t>(b)]);
           auto s = instantiate(e.gen, e.param, perm, call_, payload_);
           if (!s.has_value()) continue;
-          const Candidate* prev_best = best_.has_value() ? &*best_ : nullptr;
-          const double prev_cost = prev_best ? prev_best->cost : 0.0;
+          const bool had_best = best_.has_value();
+          const double prev_cost = had_best ? best_->entry.cost : 0.0;
           consider(std::move(*s), e.gen, e.param, std::move(perm));
-          if (best_.has_value() && (!prev_best || best_->cost < prev_cost)) {
+          if (best_.has_value() &&
+              (!had_best || best_->entry.cost < prev_cost)) {
             improved = true;
           }
         }
@@ -697,9 +776,14 @@ class Searcher {
     }
   }
 
+  struct Best {
+    Entry entry;
+    Schedule schedule;
+  };
+
   std::size_t candidates() const { return candidates_; }
   std::size_t validated() const { return validated_; }
-  const std::optional<Candidate>& best() const { return best_; }
+  const std::optional<Best>& best() const { return best_; }
   double auto_cost() const { return auto_cost_.value_or(0.0); }
   ScheduleKind auto_algo() const { return auto_algo_; }
 
@@ -708,10 +792,11 @@ class Searcher {
   int n_;
   std::uint64_t payload_;
   const SynthesisOptions& opts_;
+  const HopFn& hops_;  // opts_.hops, read through a HopTable
   std::size_t candidates_ = 0;
   std::size_t validated_ = 0;
-  std::optional<Candidate> best_;
-  std::vector<Candidate> beam_;
+  std::optional<Best> best_;
+  std::vector<Entry> beam_;  // ascending under better(), at most beam_width
   std::optional<double> auto_cost_;
   ScheduleKind auto_algo_ = ScheduleKind::kRing;
 };
@@ -784,7 +869,10 @@ SynthesisResult synthesize(mpisim::CallType call, int nranks,
   const std::uint64_t key =
       opts.memo != nullptr ? synth_key(call, nranks, payload, opts) : 0;
 
-  Searcher search(call, nranks, payload, opts);
+  // Price through a HopTable: the caller's when opts.hops holds one
+  // (lower_trace builds one per lowering), else one of our own.
+  const HopFn hops = tabulate_hops(nranks, opts.hops);
+  Searcher search(call, nranks, payload, opts, hops);
   if (opts.memo != nullptr) {
     if (auto cached = opts.memo->load(key);
         cached.has_value() && cached->call == call &&
@@ -793,7 +881,7 @@ SynthesisResult synthesize(mpisim::CallType call, int nranks,
       // verify the cached winner still beats it (a stale or colliding
       // entry falls through to a fresh search).
       search.seed_canned();
-      const double cost = estimate_cost(*cached, opts.cost, opts.hops);
+      const double cost = estimate_cost(*cached, opts.cost, hops);
       if (cost <= search.auto_cost()) {
         result.schedule = std::move(*cached);
         result.schedule.algo = ScheduleKind::kSynth;
@@ -820,7 +908,7 @@ SynthesisResult synthesize(mpisim::CallType call, int nranks,
                    "synthesize: canned seeds must yield a candidate");
   result.schedule = search.best()->schedule;
   result.schedule.algo = ScheduleKind::kSynth;
-  result.cost = search.best()->cost;
+  result.cost = search.best()->entry.cost;
   result.auto_cost = search.auto_cost();
   result.auto_algo = search.auto_algo();
   result.candidates = search.candidates();

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "hfast/util/assert.hpp"
@@ -50,13 +48,43 @@ std::string where(const Schedule& s, std::size_t step) {
   throw Error("collective schedule " + where(s, step) + ": " + what);
 }
 
+/// The ordered pairs (src * P + dst, never negative) sent on in one step:
+/// open addressing over at least twice the step's sends, so memory stays
+/// O(sends) whatever P is.
+class PairSet {
+ public:
+  /// Empties the set and sizes it for `count` insertions.
+  void reset(std::size_t count) {
+    bits_ = 4;
+    while ((std::size_t{1} << bits_) < 2 * count) ++bits_;
+    slots_.assign(std::size_t{1} << bits_, kEmpty);
+  }
+  /// False when `key` was already present.
+  bool insert(std::int64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - bits_));
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+    }
+    slots_[i] = key;
+    return true;
+  }
+
+ private:
+  static constexpr std::int64_t kEmpty = -1;
+  unsigned bits_ = 4;
+  std::vector<std::int64_t> slots_;
+};
+
 void check_structure(const Schedule& s) {
   const int n = s.nranks;
   if (n < 1) throw Error("collective schedule: nranks must be >= 1");
   if (s.num_chunks < 1) throw Error("collective schedule: empty chunk space");
-  std::unordered_set<std::int64_t> pairs;
+  PairSet pairs;
   for (std::size_t si = 0; si < s.steps.size(); ++si) {
-    pairs.clear();
+    pairs.reset(s.steps[si].sends.size());
     for (const SendOp& op : s.steps[si].sends) {
       if (op.src < 0 || op.src >= n || op.dst < 0 || op.dst >= n) {
         bad(s, si, "send endpoint (" + std::to_string(op.src) + " -> " +
@@ -66,8 +94,7 @@ void check_structure(const Schedule& s) {
       if (op.src == op.dst) {
         bad(s, si, "self-send on rank " + std::to_string(op.src));
       }
-      if (!pairs.insert(static_cast<std::int64_t>(op.src) * n + op.dst)
-               .second) {
+      if (!pairs.insert(static_cast<std::int64_t>(op.src) * n + op.dst)) {
         bad(s, si, "two sends on ordered pair " + std::to_string(op.src) +
                        " -> " + std::to_string(op.dst));
       }
@@ -94,25 +121,28 @@ std::size_t row(const Schedule& s, int rank, int chunk) {
 void check_presence(const Schedule& s) {
   const int n = s.nranks;
   const int C = s.num_chunks;
-  std::vector<char> has(static_cast<std::size_t>(n) * C, 0);
+  constexpr char kAbsent = 0;
+  constexpr char kArriving = 1;
+  constexpr char kHeld = 2;
+  std::vector<char> has(static_cast<std::size_t>(n) * C, kAbsent);
   switch (s.call) {
     case CallType::kBcast:
-      has[row(s, 0, 0)] = 1;
+      has[row(s, 0, 0)] = kHeld;
       break;
     case CallType::kScatter:
       HFAST_ASSERT(C == n);
-      for (int c = 0; c < C; ++c) has[row(s, 0, c)] = 1;
+      for (int c = 0; c < C; ++c) has[row(s, 0, c)] = kHeld;
       break;
     case CallType::kGather:
     case CallType::kAllgather:
       HFAST_ASSERT(C == n);
-      for (int r = 0; r < n; ++r) has[row(s, r, r)] = 1;
+      for (int r = 0; r < n; ++r) has[row(s, r, r)] = kHeld;
       break;
     case CallType::kAlltoall:
     case CallType::kAlltoallv:
       HFAST_ASSERT(C == n * n);
       for (int o = 0; o < n; ++o) {
-        for (int d = 0; d < n; ++d) has[row(s, o, o * n + d)] = 1;
+        for (int d = 0; d < n; ++d) has[row(s, o, o * n + d)] = kHeld;
       }
       break;
     default:
@@ -120,60 +150,71 @@ void check_presence(const Schedule& s) {
   }
   // Parallel-step semantics: reads see the pre-step state. Instead of
   // copying the whole (rank, chunk) table per step (O(P*C), which at
-  // alltoall scale is P^3 bytes per step), snapshot only the rows written
-  // this step — a read first consults the snapshot, then the live table.
-  std::unordered_map<std::size_t, char> pre;
+  // alltoall scale is P^3 bytes per step), a chunk that lands during a
+  // step is marked kArriving and becomes readable (kHeld) when it ends.
+  std::vector<std::size_t> arrived;
   for (std::size_t si = 0; si < s.steps.size(); ++si) {
-    pre.clear();
     for (const SendOp& op : s.steps[si].sends) {
       for (int c : op.chunks) {
-        const std::size_t src = row(s, op.src, c);
-        const auto it = pre.find(src);
-        const char held = it != pre.end() ? it->second : has[src];
-        if (!held) {
+        if (has[row(s, op.src, c)] != kHeld) {
           bad(s, si, "rank " + std::to_string(op.src) + " sends chunk " +
                          std::to_string(c) + " it does not hold yet");
         }
         const std::size_t dst = row(s, op.dst, c);
-        pre.try_emplace(dst, has[dst]);  // pre-step value, first write only
-        has[dst] = 1;
+        if (has[dst] == kAbsent) {
+          has[dst] = kArriving;
+          arrived.push_back(dst);
+        }
       }
     }
+    for (std::size_t r : arrived) has[r] = kHeld;
+    arrived.clear();
   }
-  const auto require = [&](int r, int c, const std::string& what) {
-    if (!has[row(s, r, c)]) {
-      bad(s, s.steps.size(), "after the last step " + what);
+  // `what` builds the diagnostic only when the check fails.
+  const auto require = [&](int r, int c, const auto& what) {
+    if (has[row(s, r, c)] != kHeld) {
+      bad(s, s.steps.size(), "after the last step " + what());
     }
   };
   switch (s.call) {
     case CallType::kBcast:
       for (int r = 0; r < n; ++r) {
-        require(r, 0, "rank " + std::to_string(r) + " lacks the payload");
+        require(r, 0, [&] {
+          return "rank " + std::to_string(r) + " lacks the payload";
+        });
       }
       break;
     case CallType::kScatter:
       for (int r = 0; r < n; ++r) {
-        require(r, r, "rank " + std::to_string(r) + " lacks its block");
+        require(r, r, [&] {
+          return "rank " + std::to_string(r) + " lacks its block";
+        });
       }
       break;
     case CallType::kGather:
       for (int c = 0; c < n; ++c) {
-        require(0, c, "the root lacks rank " + std::to_string(c) + "'s block");
+        require(0, c, [&] {
+          return "the root lacks rank " + std::to_string(c) + "'s block";
+        });
       }
       break;
     case CallType::kAllgather:
       for (int r = 0; r < n; ++r) {
         for (int c = 0; c < n; ++c) {
-          require(r, c, "rank " + std::to_string(r) + " lacks rank " +
-                            std::to_string(c) + "'s block");
+          require(r, c, [&] {
+            return "rank " + std::to_string(r) + " lacks rank " +
+                   std::to_string(c) + "'s block";
+          });
         }
       }
       break;
     default:  // alltoall(v)
       for (int o = 0; o < n; ++o) {
         for (int d = 0; d < n; ++d) {
-          require(d, o * n + d, "block (" + std::to_string(o) + " -> " +
-                                    std::to_string(d) + ") never arrived");
+          require(d, o * n + d, [&] {
+            return "block (" + std::to_string(o) + " -> " +
+                   std::to_string(d) + ") never arrived";
+          });
         }
       }
       break;
@@ -194,38 +235,36 @@ void check_reduction(const Schedule& s) {
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < C; ++c) set_bit(row(s, r, c), r);
   }
-  // Same delta-snapshot trick as check_presence: a send ORs the source's
-  // PRE-step partial into the destination, so save a written row's pre-step
-  // words on first write and read through the snapshot. (unordered_map node
-  // references stay valid across inserts, so the saved vectors are stable.)
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> pre;
-  for (std::size_t si = 0; si < s.steps.size(); ++si) {
-    pre.clear();
-    for (const SendOp& op : s.steps[si].sends) {
+  // Parallel-step semantics: a send ORs the source's PRE-step partial into
+  // the destination. Stage every partial a step reads before applying any
+  // of its writes (OR is order-free), so reads see the pre-step state
+  // without copying the table: O(words) per chunk the step carries.
+  std::vector<std::uint64_t> staged;
+  for (const Step& step : s.steps) {
+    staged.clear();
+    for (const SendOp& op : step.sends) {
       for (int c : op.chunks) {
-        const std::size_t src = row(s, op.src, c) * words;
+        const auto src = contrib.begin() +
+                         static_cast<std::ptrdiff_t>(row(s, op.src, c) * words);
+        staged.insert(staged.end(), src,
+                      src + static_cast<std::ptrdiff_t>(words));
+      }
+    }
+    const std::uint64_t* next = staged.data();
+    for (const SendOp& op : step.sends) {
+      for (int c : op.chunks) {
         const std::size_t dst = row(s, op.dst, c) * words;
-        const auto src_it = pre.find(src);
-        const std::uint64_t* src_words =
-            src_it != pre.end() ? src_it->second.data() : &contrib[src];
-        auto [dst_it, fresh] = pre.try_emplace(dst);
-        if (fresh) {
-          dst_it->second.assign(contrib.begin() + static_cast<std::ptrdiff_t>(dst),
-                                contrib.begin() +
-                                    static_cast<std::ptrdiff_t>(dst + words));
-        }
-        for (std::size_t w = 0; w < words; ++w) {
-          contrib[dst + w] |= src_words[w];
-        }
+        for (std::size_t w = 0; w < words; ++w) contrib[dst + w] |= *next++;
       }
     }
   }
   // expect[] reused: the required contribution set per checked cell.
   std::vector<std::uint64_t> expect(words);
-  const auto require = [&](int r, int c, const std::string& what) {
+  // `what` builds the diagnostic only when the check fails.
+  const auto require = [&](int r, int c, const auto& what) {
     for (std::size_t w = 0; w < words; ++w) {
       if (contrib[row(s, r, c) * words + w] != expect[w]) {
-        bad(s, s.steps.size(), "after the last step " + what);
+        bad(s, s.steps.size(), "after the last step " + what());
       }
     }
   };
@@ -238,7 +277,9 @@ void check_reduction(const Schedule& s) {
   switch (s.call) {
     case CallType::kReduce:
       expect_all();
-      require(0, 0, "the root's reduction misses contributions");
+      require(0, 0, [] {
+        return std::string("the root's reduction misses contributions");
+      });
       break;
     case CallType::kAllreduce:
     case CallType::kBarrier:
@@ -246,8 +287,10 @@ void check_reduction(const Schedule& s) {
       expect_all();
       for (int r = 0; r < n; ++r) {
         for (int c = 0; c < C; ++c) {
-          require(r, c, "rank " + std::to_string(r) +
-                            "'s reduction misses contributions");
+          require(r, c, [&] {
+            return "rank " + std::to_string(r) +
+                   "'s reduction misses contributions";
+          });
         }
       }
       break;
@@ -255,8 +298,9 @@ void check_reduction(const Schedule& s) {
       HFAST_ASSERT(C == n);
       expect_all();
       for (int r = 0; r < n; ++r) {
-        require(r, r, "rank " + std::to_string(r) +
-                          "'s share misses contributions");
+        require(r, r, [&] {
+          return "rank " + std::to_string(r) + "'s share misses contributions";
+        });
       }
       break;
     case CallType::kScan:
@@ -266,9 +310,11 @@ void check_reduction(const Schedule& s) {
           expect[static_cast<std::size_t>(b) / 64] |=
               std::uint64_t{1} << (static_cast<std::size_t>(b) % 64);
         }
-        require(r, 0, "rank " + std::to_string(r) +
-                          "'s prefix is not exactly ranks [0, " +
-                          std::to_string(r) + "]");
+        require(r, 0, [&] {
+          return "rank " + std::to_string(r) +
+                 "'s prefix is not exactly ranks [0, " + std::to_string(r) +
+                 "]";
+        });
       }
       break;
     default:

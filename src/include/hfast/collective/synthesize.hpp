@@ -15,8 +15,10 @@
 ///    (hop-greedy tour, distance-sorted) and LCG-seeded random orders,
 ///    then beam-refined with 2-opt position swaps for `rounds` rounds
 ///    (iterative deepening: a round that fails to improve stops early).
-/// Every candidate is proven by validate_schedule before it may enter the
-/// frontier and priced by estimate_cost under the target hop function.
+/// Every candidate is priced by estimate_cost under the target hop function
+/// first; one that would become the best or enter the refinement beam is
+/// then proven by validate_schedule and dropped if it fails, so every
+/// admitted schedule, and so every returned one, is proven.
 /// Ties break on (cost, fewer steps, fewer sends, generation index), so a
 /// fixed seed yields a byte-stable schedule across runs.
 
@@ -44,7 +46,8 @@ class SynthMemo {
 struct SynthesisOptions {
   CostParams cost;
   /// Target topology's hop function (e.g. a bound Network::switch_hops);
-  /// empty means one hop per pair (topology-blind search).
+  /// empty means one hop per pair (topology-blind search). The search reads
+  /// it through a HopTable: this one when it holds one, else its own.
   HopFn hops;
   /// SMP node map; consulted by the hierarchical seed family only (same
   /// contract as select_schedule).
@@ -70,7 +73,10 @@ struct SynthesisResult {
   double auto_cost = 0.0;  ///< estimate_cost of select_schedule's pick
   ScheduleKind auto_algo = ScheduleKind::kRing;  ///< that pick's family
   std::size_t candidates = 0;  ///< structures generated (incl. invalid)
-  std::size_t validated = 0;   ///< structures that passed the validator
+  /// Structures proven by validate_schedule. Only a candidate that would
+  /// be admitted (the new best, or a beam entry) is proven, so this counts
+  /// admissions attempted and passed, not every structure that would pass.
+  std::size_t validated = 0;
   bool from_memo = false;      ///< served by opts.memo, no search ran
   /// False when the validation state (P x chunk space) exceeded the
   /// affordability guard and synthesis returned the kAuto pick unsearched.

@@ -11,10 +11,13 @@
 ///     validate_schedule, never costs more than the cheapest canned
 ///     family under the same hop function, and is byte-deterministic for
 ///     a fixed seed across two runs. Plus the select_schedule tie-break
-///     regression, the memo round-trip, and the affordability fallback.
+///     regression, the memo round-trip, the affordability fallback, a
+///     golden table of schedules, costs and memo keys pinned across
+///     builds, and the hop table's equivalence with its oracle.
 ///   * CollectiveSynthFuzz — tampered schedules (dropped send, duplicated
 ///     (src, dst) per step, out-of-range chunk id, truncated step list)
-///     are rejected by the validator with a diagnostic; hostile bytes are
+///     are rejected by the validator with a diagnostic, whose full text is
+///     pinned for one schedule per rule; hostile bytes are
 ///     rejected by decode_schedule; a corrupt or semantically-invalid
 ///     cache entry is a miss, never a schedule.
 ///   * SynthAcceptanceGrid — the PR acceptance matrix: (allreduce,
@@ -28,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -47,6 +52,7 @@
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/util/assert.hpp"
+#include "hfast/util/hash.hpp"
 
 namespace hfast {
 namespace {
@@ -55,6 +61,7 @@ using collective::CostParams;
 using collective::HopFn;
 using collective::Schedule;
 using collective::ScheduleKind;
+using collective::Step;
 using collective::SynthesisOptions;
 using collective::SynthesisResult;
 using mpisim::CallType;
@@ -328,6 +335,129 @@ TEST(CollectiveSynthFuzz, OutOfRangeChunkIdIsRejected) {
   }
 }
 
+/// The validator's full diagnostic for `s`, or "accepted" when it passes.
+std::string verdict(const Schedule& s) {
+  try {
+    collective::validate_schedule(s);
+    return "accepted";
+  } catch (const Error& e) {
+    return e.what();
+  }
+}
+
+Schedule canned(ScheduleKind kind, CallType call, int n) {
+  auto s = collective::generate_schedule(kind, call, n, 1024);
+  EXPECT_TRUE(s.has_value());
+  return s.value_or(Schedule{});
+}
+
+TEST(CollectiveSynthFuzz, ValidatorDiagnosticsAreUnchanged) {
+  // Full-text pins of the first violated rule for tampered canned
+  // schedules. The structural cases also fix which rule wins when one
+  // step breaks several: rules are checked send by send, in send order.
+  const auto with = [](Schedule s, auto&& tamper) {
+    tamper(s);
+    return verdict(s);
+  };
+  const Schedule ag = canned(ScheduleKind::kRing, CallType::kAllgather, 8);
+  const Schedule ar = canned(ScheduleKind::kRing, CallType::kAllreduce, 8);
+  const Schedule scan =
+      canned(ScheduleKind::kRecursiveDoubling, CallType::kScan, 8);
+  const Schedule a2a = canned(ScheduleKind::kBruck, CallType::kAlltoall, 8);
+  const Schedule bc = canned(ScheduleKind::kBinomial, CallType::kBcast, 8);
+  // Three-rank schedules whose verdict turns on parallel-step semantics:
+  // a send reads its source as it was before the step began.
+  const auto tiny = [](CallType call, std::vector<Step> steps) {
+    Schedule s;
+    s.call = call;
+    s.algo = ScheduleKind::kBinomial;
+    s.nranks = 3;
+    s.payload = 8;
+    s.steps = std::move(steps);
+    return verdict(s);
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {tiny(CallType::kBcast, {Step{{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}}),
+       "collective schedule MPI_Bcast/binomial P=3 step 0: "
+       "rank 1 sends chunk 0 it does not hold yet"},
+      {tiny(CallType::kBcast, {Step{{{0, 1, 8, {0}}}},
+                               Step{{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}}),
+       "accepted"},
+      {tiny(CallType::kReduce, {Step{{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}}),
+       "collective schedule MPI_Reduce/binomial P=3 step 1: "
+       "after the last step the root's reduction misses contributions"},
+      {tiny(CallType::kReduce, {Step{{{2, 1, 8, {0}}}},
+                                Step{{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}}),
+       "accepted"},
+      {with(ag, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+       "collective schedule MPI_Allgather/ring P=8 step 7: "
+       "after the last step rank 0 lacks rank 1's block"},
+      {with(ar, [](Schedule& s) { s.steps.pop_back(); }),
+       "collective schedule MPI_Allreduce/ring P=8 step 13: "
+       "after the last step rank 0's reduction misses contributions"},
+      {with(ag,
+            [](Schedule& s) {
+              s.steps[0].sends.push_back(s.steps[0].sends.front());
+            }),
+       "collective schedule MPI_Allgather/ring P=8 step 0: "
+       "two sends on ordered pair 0 -> 1"},
+      {with(scan,
+            [](Schedule& s) {
+              s.steps.back().sends.push_back({7, 0, 1024, {0}});
+            }),
+       "collective schedule MPI_Scan/rd P=8 step 3: "
+       "after the last step rank 0's prefix is not exactly ranks [0, 0]"},
+      {with(a2a, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+       "collective schedule MPI_Alltoall/bruck P=8 step 3: "
+       "after the last step block (4 -> 3) never arrived"},
+      {with(bc, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+       "collective schedule MPI_Bcast/binomial P=8 step 3: "
+       "after the last step rank 7 lacks the payload"},
+      {with(ag, [](Schedule& s) { s.steps[2].sends[3].dst = 8; }),
+       "collective schedule MPI_Allgather/ring P=8 step 2: "
+       "send endpoint (3 -> 8) outside [0, 8)"},
+      {with(ag, [](Schedule& s) { s.steps[2].sends[3].dst = 3; }),
+       "collective schedule MPI_Allgather/ring P=8 step 2: "
+       "self-send on rank 3"},
+      {with(ag, [](Schedule& s) { s.steps[1].sends[5].chunks.clear(); }),
+       "collective schedule MPI_Allgather/ring P=8 step 1: "
+       "send 5 -> 6 carries no chunks"},
+      {with(ag, [](Schedule& s) { s.steps[1].sends[5].chunks = {2, 8}; }),
+       "collective schedule MPI_Allgather/ring P=8 step 1: "
+       "chunk id 8 outside [0, 8)"},
+      {with(ag, [](Schedule& s) { s.steps[1].sends[0].chunks = {1}; }),
+       "collective schedule MPI_Allgather/ring P=8 step 1: "
+       "rank 0 sends chunk 1 it does not hold yet"},
+      // A later duplicate does not mask an earlier send's violation...
+      {with(ag,
+            [](Schedule& s) {
+              s.steps[0].sends[2].chunks.clear();
+              s.steps[0].sends[6] = s.steps[0].sends[1];
+            }),
+       "collective schedule MPI_Allgather/ring P=8 step 0: "
+       "send 2 -> 3 carries no chunks"},
+      // ...and a duplicate is reported at its second occurrence, before
+      // that send's own chunk checks and before any later send's.
+      {with(ag,
+            [](Schedule& s) {
+              s.steps[0].sends[5] = s.steps[0].sends[4];
+              s.steps[0].sends[5].chunks = {99};
+              s.steps[0].sends[6].dst = 6;
+            }),
+       "collective schedule MPI_Allgather/ring P=8 step 0: "
+       "two sends on ordered pair 4 -> 5"},
+      // Out-of-range endpoints are checked before the duplicate rule.
+      {with(ag,
+            [](Schedule& s) {
+              s.steps[0].sends[3] = {0, 9, 1024, {0}};
+              s.steps[0].sends[4] = {1, 1, 1024, {1}};
+            }),
+       "collective schedule MPI_Allgather/ring P=8 step 0: "
+       "send endpoint (0 -> 9) outside [0, 8)"},
+  };
+  for (const auto& [got, want] : cases) EXPECT_EQ(got, want);
+}
+
 TEST(CollectiveSynthFuzz, DecodeRejectsHostileBytes) {
   const Schedule s = synthesized_fixture();
   const std::vector<std::byte> good = store::schedule_bytes(s);
@@ -457,6 +587,304 @@ TEST(SynthAcceptanceGrid, EveryCellValidatesAndBeatsOrMatchesAuto) {
   // The search must actually buy something somewhere, not just match the
   // selector everywhere (the ISSUE's acceptance bar).
   EXPECT_GE(strictly_cheaper, 3);
+}
+
+// ---------------------------------------------------------------------------
+// CollectiveSynthesize.GoldenSchedulesAreUnchanged — pinned search output
+// ---------------------------------------------------------------------------
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b = 0;
+  static_assert(sizeof b == sizeof d);
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+/// One row per (P, topology): topology_hash and an allreduce synth_key,
+/// then one row per call: fnv1a64 of the schedule's canonical bytes and
+/// the bit patterns of r.cost and r.auto_cost; then the refined cells in
+/// the same form. Pinned from a build whose
+/// search proved every candidate before pricing it; a search change that
+/// moves any schedule, cost or memo key by one bit fails here. On a
+/// mismatch the test prints the full table in this form.
+const char* const kGoldenSynthesis[] = {
+    "P=8 blind topo 0x20537ec87b2e2650 "
+    "key 0xe62e78840519b5b4",
+    "P=8 blind MPI_Allreduce 0xfbf393a17f787a18 "
+    "0x3ed4e7877cfb4219 0x3ed4e7877cfb4219",
+    "P=8 blind MPI_Alltoall 0xe5bebe4db4365583 "
+    "0x3eee4644bb7970e3 0x3eef88641aba491b",
+    "P=8 blind MPI_Allgather 0x0dfeb41cf2a0ab59 "
+    "0x3eee4644bb7970e3 0x3eeeb1a485e463a1",
+    "P=8 blind MPI_Bcast 0x5b22ad0789b3c459 "
+    "0x3edb07313b7b1a16 0x3edb07313b7b1a16",
+    "P=8 blind MPI_Reduce 0xbf97fc0ad3f375b7 "
+    "0x3edb07313b7b1a16 0x3edb07313b7b1a16",
+    "P=8 blind MPI_Reduce_scatter 0xdfb75d1fdde56be7 "
+    "0x3eeeb1a485e463a1 0x3eeeb1a485e463a1",
+    "P=8 blind MPI_Barrier 0x69485435e7390def "
+    "0x3edb07313b7b1a16 0x3edb07313b7b1a16",
+    "P=8 torus topo 0x9c23b477c02cd6d0 "
+    "key 0xa7e5e0cb84394e0a",
+    "P=8 torus MPI_Allreduce 0xfbf393a17f787a18 "
+    "0x3edac6c48ed48874 0x3edac6c48ed48874",
+    "P=8 torus MPI_Alltoall 0xe5bebe4db4365583 "
+    "0x3eee7bf4a0aeea41 0x3ef0074debdffc43",
+    "P=8 torus MPI_Allgather 0x0dfeb41cf2a0ab59 "
+    "0x3eee7bf4a0aeea41 0x3eeeb1a485e463a1",
+    "P=8 torus MPI_Bcast 0x5b22ad0789b3c459 "
+    "0x3edb07313b7b1a16 0x3edb07313b7b1a16",
+    "P=8 torus MPI_Reduce 0xbf97fc0ad3f375b7 "
+    "0x3edb07313b7b1a16 0x3edb07313b7b1a16",
+    "P=8 torus MPI_Reduce_scatter 0xdfb75d1fdde56be7 "
+    "0x3eeeb1a485e463a1 0x3eeeb1a485e463a1",
+    "P=8 torus MPI_Barrier 0x69485435e7390def "
+    "0x3edba840eb1b8632 0x3edba840eb1b8632",
+    "P=8 hfast topo 0xdddadff3885534d0 "
+    "key 0xdadef4ca1903f242",
+    "P=8 hfast MPI_Allreduce 0xfbf393a17f787a18 "
+    "0x3ed7d72605e7e546 0x3ed7d72605e7e546",
+    "P=8 hfast MPI_Alltoall 0xe5bebe4db4365583 "
+    "0x3eee7bf4a0aeea41 0x3ef06541bcfd90a9",
+    "P=8 hfast MPI_Allgather 0x0dfeb41cf2a0ab59 "
+    "0x3eee7bf4a0aeea41 0x3eef1d04504f565e",
+    "P=8 hfast MPI_Bcast 0x5b22ad0789b3c459 "
+    "0x3edbddf0d050ff91 0x3edbddf0d050ff91",
+    "P=8 hfast MPI_Reduce 0xbf97fc0ad3f375b7 "
+    "0x3edbddf0d050ff91 0x3edbddf0d050ff91",
+    "P=8 hfast MPI_Reduce_scatter 0xdfb75d1fdde56be7 "
+    "0x3eef1d04504f565d 0x3eef1d04504f565d",
+    "P=8 hfast MPI_Barrier 0x69485435e7390def "
+    "0x3edbddf0d050ff91 0x3edbddf0d050ff91",
+    "P=64 blind topo 0x3809b67155060f98 "
+    "key 0x9629e24fbaa89c82",
+    "P=64 blind MPI_Allreduce 0x738e476db84376c1 "
+    "0x3eeb07313b7b1a17 0x3eeb07313b7b1a17",
+    "P=64 blind MPI_Alltoall 0xd4f65b6bf89a1072 "
+    "0x3f20ecaeb6d992d0 0x3f21bcb84f08c917",
+    "P=64 blind MPI_Allgather 0x126db3edee3f05d4 "
+    "0x3f20ecaeb6d992d0 0x3f20fd75ae7a48be",
+    "P=64 blind MPI_Bcast 0x4879de946f2252ac "
+    "0x3eeb07313b7b1a17 0x3eeb07313b7b1a17",
+    "P=64 blind MPI_Reduce 0xbcf8a6be11d2e1c6 "
+    "0x3eeb07313b7b1a17 0x3eeb07313b7b1a17",
+    "P=64 blind MPI_Reduce_scatter 0x9c8a7fa445e8adca "
+    "0x3f20fd75ae7a48bf 0x3f20fd75ae7a48bf",
+    "P=64 blind MPI_Barrier 0x701cf78e90c0512a "
+    "0x3eeb07313b7b1a17 0x3eeb07313b7b1a17",
+    "P=64 torus topo 0x173d87bb6afd5398 "
+    "key 0x1e59202a3d843198",
+    "P=64 torus MPI_Allreduce 0x738e476db84376c1 "
+    "0x3eeb57b9134b5025 0x3eeb57b9134b5025",
+    "P=64 torus MPI_Alltoall 0xd4f65b6bf89a1072 "
+    "0x3f20f51232a9edc7 0x3f22952563085a60",
+    "P=64 torus MPI_Allgather 0x126db3edee3f05d4 "
+    "0x3f20f51232a9edc7 0x3f21027e2bf74c20",
+    "P=64 torus MPI_Bcast 0x4879de946f2252ac "
+    "0x3eeb57b9134b5025 0x3eeb57b9134b5025",
+    "P=64 torus MPI_Reduce 0xbcf8a6be11d2e1c6 "
+    "0x3eeb57b9134b5025 0x3eeb57b9134b5025",
+    "P=64 torus MPI_Reduce_scatter 0x9c8a7fa445e8adca "
+    "0x3f21027e2bf74c20 0x3f21027e2bf74c20",
+    "P=64 torus MPI_Barrier 0x701cf78e90c0512a "
+    "0x3eebf8c8c2ebbc41 0x3eebf8c8c2ebbc41",
+    "P=64 hfast topo 0xd0d11f2c3a425398 "
+    "key 0x4b2e4fc0ee6d4989",
+    "P=64 hfast MPI_Allreduce 0x738e476db84376c1 "
+    "0x3eee622f8ed2afff 0x3eee622f8ed2afff",
+    "P=64 hfast MPI_Alltoall 0xd4f65b6bf89a1072 "
+    "0x3f210786a9744f7f 0x3f264fc506a73083",
+    "P=64 hfast MPI_Allgather 0x126db3edee3f05d4 "
+    "0x3f210786a9744f7f 0x3f21332593afc21d",
+    "P=64 hfast MPI_Bcast 0x32fc629e30296526 "
+    "0x3eedc11fdf3243e4 0x3eee622f8ed2afff",
+    "P=64 hfast MPI_Reduce 0x2c7183f19418b25d "
+    "0x3eedc11fdf3243e5 0x3eee622f8ed2afff",
+    "P=64 hfast MPI_Reduce_scatter 0x9c8a7fa445e8adca "
+    "0x3f21332593afc21c 0x3f21332593afc21c",
+    "P=64 hfast MPI_Barrier 0x701cf78e90c0512a "
+    "0x3eee622f8ed2afff 0x3eee622f8ed2afff",
+    "P=12 hfast MPI_Bcast 4096 seed 1 "
+    "0xa7069597964bbc5a 0x3ee2c0b31f37e4da 0x3ee2f663046d5e39",
+    "P=12 hfast MPI_Reduce 4096 seed 2 "
+    "0xd2486b3f1007a045 0x3ee2db8b11d2a18a 0x3ee2f663046d5e39",
+    "P=32 hfast MPI_Bcast 1048576 seed 1 "
+    "0xa9326d13f593ba95 0x3f657c2df8e1a8a7 0x3f657c48d0d44363",
+    "P=48 torus MPI_Reduce 4096 seed 2 "
+    "0x2f8726ac4a768022 0x3eec2e78a821359f 0x3eec64288d56aefd",
+};
+
+TEST(CollectiveSynthesize, GoldenSchedulesAreUnchanged) {
+  const CallType calls[] = {CallType::kAllreduce, CallType::kAlltoall,
+                            CallType::kAllgather, CallType::kBcast,
+                            CallType::kReduce,    CallType::kReduceScatter,
+                            CallType::kBarrier};
+  std::vector<std::string> rows;
+  const auto pin = [&rows](const std::string& cell, const SynthesisResult& r) {
+    rows.push_back(cell + " " +
+                   hex64(util::fnv1a64(store::schedule_bytes(r.schedule))) +
+                   " " + hex64(bits_of(r.cost)) + " " +
+                   hex64(bits_of(r.auto_cost)));
+  };
+  for (const int n : {8, 64}) {
+    topo::MeshTorus torus(topo::MeshTorus::balanced_dims(n, 3), true);
+    netsim::DirectNetwork torus_net(torus, {});
+    HfastCell hfast = make_hfast(n);
+    const std::pair<const char*, netsim::Network*> topologies[] = {
+        {"blind", nullptr}, {"torus", &torus_net}, {"hfast", hfast.net.get()}};
+    for (const auto& [name, net] : topologies) {
+      SynthesisOptions opts;
+      if (net != nullptr) opts.hops = net_hops(*net);
+      const std::string cell = "P=" + std::to_string(n) + " " + name;
+      SynthesisOptions keyed = opts;
+      keyed.topology_digest = collective::topology_hash(n, opts.hops);
+      rows.push_back(cell + " topo " + hex64(keyed.topology_digest) + " key " +
+                     hex64(collective::synth_key(CallType::kAllreduce, n, 4096,
+                                                 keyed)));
+      for (const CallType call : calls) {
+        pin(cell + " " + std::string(mpisim::call_name(call)),
+            collective::synthesize(call, n, 4096, opts));
+      }
+    }
+  }
+  // Cells whose winner comes out of 2-opt refinement (the same search
+  // without refinement rounds ends costlier), so the refinement beam and
+  // its snapshots are pinned too.
+  const struct {
+    int n;
+    bool torus;
+    CallType call;
+    std::uint64_t payload;
+    std::uint64_t seed;
+  } refined[] = {{12, false, CallType::kBcast, 4096, 1},
+                 {12, false, CallType::kReduce, 4096, 2},
+                 {32, false, CallType::kBcast, 1 << 20, 1},
+                 {48, true, CallType::kReduce, 4096, 2}};
+  for (const auto& c : refined) {
+    topo::MeshTorus torus(topo::MeshTorus::balanced_dims(c.n, 3), true);
+    netsim::DirectNetwork torus_net(torus, {});
+    HfastCell hfast = make_hfast(c.n);
+    SynthesisOptions opts;
+    opts.hops = net_hops(c.torus ? torus_net : *hfast.net);
+    opts.seed = c.seed;
+    const SynthesisResult r = collective::synthesize(c.call, c.n, c.payload,
+                                                     opts);
+    SynthesisOptions unrefined = opts;
+    unrefined.rounds = 0;
+    EXPECT_LT(r.cost,
+              collective::synthesize(c.call, c.n, c.payload, unrefined).cost)
+        << "P=" << c.n << " no longer exercises refinement";
+    pin("P=" + std::to_string(c.n) + (c.torus ? " torus " : " hfast ") +
+            std::string(mpisim::call_name(c.call)) + " " +
+            std::to_string(c.payload) + " seed " + std::to_string(c.seed),
+        r);
+  }
+  const std::size_t pinned = std::size(kGoldenSynthesis);
+  EXPECT_EQ(rows.size(), pinned);
+  for (std::size_t i = 0; i < rows.size() && i < pinned; ++i) {
+    EXPECT_EQ(rows[i], kGoldenSynthesis[i]);
+  }
+  if (HasFailure()) {
+    std::string table;
+    for (const std::string& row : rows) table += "    \"" + row + "\",\n";
+    ADD_FAILURE() << "synthesized table:\n" << table;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CollectiveSynthesize — the dense hop table
+// ---------------------------------------------------------------------------
+
+TEST(CollectiveSynthesize, HopTableMatchesOracle) {
+  const CallType calls[] = {
+      CallType::kBarrier,   CallType::kBcast,     CallType::kReduce,
+      CallType::kAllreduce, CallType::kGather,    CallType::kAllgather,
+      CallType::kScatter,   CallType::kAlltoall,  CallType::kAlltoallv,
+      CallType::kReduceScatter, CallType::kScan,  CallType::kCommSplit};
+  const ScheduleKind families[] = {
+      ScheduleKind::kRing, ScheduleKind::kRecursiveDoubling,
+      ScheduleKind::kBinomial, ScheduleKind::kBruck, ScheduleKind::kPairwise};
+  const CostParams params;
+  for (const int n : {8, 64}) {
+    topo::MeshTorus torus(topo::MeshTorus::balanced_dims(n, 3), true);
+    netsim::DirectNetwork torus_net(torus, {});
+    topo::FatTree tree(n, 16);
+    netsim::FatTreeNetwork tree_net(tree, {});
+    HfastCell hfast = make_hfast(n);
+    const std::pair<const char*, netsim::Network*> topologies[] = {
+        {"torus", &torus_net}, {"fattree", &tree_net},
+        {"hfast", hfast.net.get()}};
+    for (const auto& [name, net] : topologies) {
+      SCOPED_TRACE(std::string(name) + " P=" + std::to_string(n));
+      const HopFn oracle = net_hops(*net);
+      std::size_t queries = 0;
+      std::size_t diagonal = 0;
+      const collective::HopTable table(n, [&](int u, int v) {
+        ++queries;
+        if (u == v) ++diagonal;
+        return oracle(u, v);
+      });
+      EXPECT_EQ(queries, 0u);  // filled on first read
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int u = 0; u < n; ++u) {
+          for (int v = 0; v < n; ++v) {
+            EXPECT_EQ(table(u, v), u == v ? 0 : oracle(u, v))
+                << u << " -> " << v;
+          }
+        }
+      }
+      EXPECT_EQ(queries, static_cast<std::size_t>(n) * (n - 1));
+      EXPECT_EQ(diagonal, 0u);
+      const HopFn tabled = table;
+      for (const CallType call : calls) {
+        for (const ScheduleKind kind : families) {
+          const auto s = collective::generate_schedule(kind, call, n, 4096);
+          if (!s.has_value()) continue;
+          EXPECT_EQ(bits_of(collective::estimate_cost(*s, params, tabled)),
+                    bits_of(collective::estimate_cost(*s, params, oracle)))
+              << mpisim::call_name(call) << "/"
+              << collective::schedule_name(kind);
+        }
+      }
+    }
+  }
+}
+
+TEST(CollectiveSynthesize, TabulateHopsReadsAnOracleOnceAndOnlyWithinBound) {
+  std::size_t queries = 0;
+  const HopFn oracle = [&](int u, int v) {
+    ++queries;
+    return u + v;
+  };
+  const HopFn tabled = collective::tabulate_hops(16, oracle);
+  ASSERT_NE(tabled.target<collective::HopTable>(), nullptr);
+  EXPECT_EQ(queries, 0u);
+  EXPECT_EQ(tabled(3, 9), 12);
+  EXPECT_EQ(tabled(3, 9), 12);
+  EXPECT_EQ(queries, 1u);
+
+  // A table that covers the world is kept, cells and all.
+  const HopFn kept = collective::tabulate_hops(12, tabled);
+  ASSERT_NE(kept.target<collective::HopTable>(), nullptr);
+  EXPECT_EQ(kept.target<collective::HopTable>()->nranks(), 16);
+  EXPECT_EQ(kept(3, 9), 12);
+  EXPECT_EQ(queries, 1u);
+
+  // An empty function stays topology-blind; above the bound the oracle
+  // passes through as it is.
+  EXPECT_FALSE(collective::tabulate_hops(16, HopFn{}));
+  const HopFn big =
+      collective::tabulate_hops(collective::HopTable::kMaxRanks + 1, oracle);
+  EXPECT_EQ(big.target<collective::HopTable>(), nullptr);
+  EXPECT_EQ(big(3, 9), 12);
+  EXPECT_EQ(queries, 2u);
 }
 
 // ---------------------------------------------------------------------------
