@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "hfast/collective/generate.hpp"
@@ -47,38 +49,34 @@ namespace {
 template <typename Hops>
 double cost_over(const Schedule& schedule, const CostParams& params,
                  const Hops& hops) {
-  const int n = schedule.nranks;
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> in(static_cast<std::size_t>(n), 0);
-  std::vector<int> touched;
+  // load[2r], load[2r + 1]: bytes rank r sends, receives in this step.
+  std::vector<std::uint64_t> load(2 *
+                                  static_cast<std::size_t>(schedule.nranks));
+  const auto slot = [&load](int rank, int dir) -> std::uint64_t& {
+    return load[2 * static_cast<std::size_t>(rank) + dir];
+  };
   double total = 0.0;
-  for (const Step& step : schedule.steps) {
-    double latency = 0.0;
-    for (const SendOp& op : step.sends) {
-      if (out[static_cast<std::size_t>(op.src)] == 0 &&
-          in[static_cast<std::size_t>(op.src)] == 0) {
-        touched.push_back(op.src);
-      }
-      if (out[static_cast<std::size_t>(op.dst)] == 0 &&
-          in[static_cast<std::size_t>(op.dst)] == 0) {
-        touched.push_back(op.dst);
-      }
-      out[static_cast<std::size_t>(op.src)] += op.bytes;
-      in[static_cast<std::size_t>(op.dst)] += op.bytes;
-      const int h = hops(op.src, op.dst);
-      latency = std::max(latency,
-                         params.base_latency_s + h * params.per_hop_s);
-    }
-    // The step runs as long as its slowest endpoint serializes plus its
-    // slowest message's launch latency.
+  for (std::size_t si = 0; si < schedule.num_steps(); ++si) {
+    const std::span<const SendOp> step = schedule.step(si);
+    if (step.empty()) continue;  // adds 0.0
+    // The step runs as long as its slowest endpoint serializes (loads only
+    // grow, so the running maximum is the final one) plus its slowest
+    // message's launch latency, which is monotone in the hop count.
     std::uint64_t serial = 0;
-    for (int r : touched) {
-      serial = std::max({serial, out[static_cast<std::size_t>(r)],
-                         in[static_cast<std::size_t>(r)]});
-      out[static_cast<std::size_t>(r)] = 0;
-      in[static_cast<std::size_t>(r)] = 0;
+    int fewest = std::numeric_limits<int>::max();
+    int most = std::numeric_limits<int>::min();
+    for (const SendOp& op : step) {
+      serial = std::max({serial, slot(op.src, 0) += op.bytes,
+                         slot(op.dst, 1) += op.bytes});
+      const int h = hops(op.src, op.dst);
+      fewest = std::min(fewest, h);
+      most = std::max(most, h);
     }
-    touched.clear();
+    for (const SendOp& op : step) slot(op.src, 0) = slot(op.dst, 1) = 0;
+    const auto launch = [&params](int h) {
+      return params.base_latency_s + h * params.per_hop_s;
+    };
+    const double latency = std::max({0.0, launch(fewest), launch(most)});
     total += latency + static_cast<double>(serial) / params.bandwidth_bps;
   }
   return total;
@@ -116,29 +114,33 @@ Schedule select_schedule(mpisim::CallType call, int nranks,
   // enum) rather than relying on iteration order so the contract survives
   // reorderings of the candidate list (regression-tested in
   // test_collective_synthesize.cpp).
-  std::optional<Schedule> best;
+  // Candidates are generated into one buffer, swapped with the best's.
+  Schedule best;
+  Schedule candidate;
+  bool found = false;
   double best_cost = 0.0;
   for (ScheduleKind kind :
        {ScheduleKind::kRing, ScheduleKind::kRecursiveDoubling,
         ScheduleKind::kBinomial, ScheduleKind::kBruck,
         ScheduleKind::kPairwise, ScheduleKind::kHierarchical}) {
     if (kind == ScheduleKind::kHierarchical && !smp) continue;
-    auto candidate =
-        generate_schedule(kind, call, nranks, payload, node_of_rank);
-    if (!candidate.has_value()) continue;
-    const double cost = estimate_cost(*candidate, params, hops);
+    if (!generate_into(candidate, kind, call, nranks, payload, node_of_rank)) {
+      continue;
+    }
+    const double cost = estimate_cost(candidate, params, hops);
     const bool wins =
-        !best.has_value() || cost < best_cost ||
+        !found || cost < best_cost ||
         (cost == best_cost &&
-         static_cast<int>(kind) < static_cast<int>(best->algo));
+         static_cast<int>(kind) < static_cast<int>(best.algo));
     if (wins) {
-      best = std::move(candidate);
+      std::swap(best, candidate);
       best_cost = cost;
+      found = true;
     }
   }
-  HFAST_ASSERT_MSG(best.has_value(),
+  HFAST_ASSERT_MSG(found,
                    "every collective call must have a candidate schedule");
-  return std::move(*best);
+  return best;
 }
 
 }  // namespace hfast::collective

@@ -32,20 +32,20 @@ struct Template {
 Template build_template(const Schedule& schedule) {
   Template t;
   t.per_rank.resize(static_cast<std::size_t>(schedule.nranks));
-  for (const Step& step : schedule.steps) {
+  for (std::size_t si = 0; si < schedule.num_steps(); ++si) {
     // All of a step's sends precede all of its receives on every rank, so
     // the lowered trace can always progress under FIFO channel matching.
-    for (const SendOp& op : step.sends) {
+    for (const SendOp& op : schedule.step(si)) {
       t.per_rank[static_cast<std::size_t>(op.src)].push_back(
           {true, op.dst, op.bytes});
       t.total_bytes += op.bytes;
     }
-    for (const SendOp& op : step.sends) {
+    for (const SendOp& op : schedule.step(si)) {
       t.per_rank[static_cast<std::size_t>(op.dst)].push_back(
           {false, op.src, op.bytes});
     }
-    t.total_ops += 2 * step.sends.size();
   }
+  t.total_ops = 2 * schedule.total_sends();
   return t;
 }
 

@@ -46,17 +46,31 @@ const std::vector<ScheduleKind>& all_schedule_kinds() {
   return kinds;
 }
 
-std::size_t Schedule::total_sends() const noexcept {
-  std::size_t n = 0;
-  for (const Step& s : steps) n += s.sends.size();
-  return n;
+void Schedule::add_send(int src, int dst, std::uint64_t bytes,
+                        std::span<const int> ids) {
+  HFAST_EXPECTS_MSG(ids.size() <= kMaxChunkIds - chunks.size(),
+                    "schedule: arena full");
+  sends.push_back({src, dst, bytes, static_cast<std::uint32_t>(chunks.size()),
+                   static_cast<std::uint32_t>(ids.size())});
+  chunks.insert(chunks.end(), ids.begin(), ids.end());
+}
+
+void Schedule::pop_step() {
+  const std::size_t first = step_begin.back();
+  step_begin.pop_back();
+  if (first < sends.size()) chunks.resize(sends[first].chunk_begin);
+  sends.resize(first);
+}
+
+void Schedule::clear() noexcept {
+  step_begin.clear();
+  sends.clear();
+  chunks.clear();
 }
 
 std::uint64_t Schedule::total_bytes() const noexcept {
   std::uint64_t n = 0;
-  for (const Step& s : steps) {
-    for (const SendOp& op : s.sends) n += op.bytes;
-  }
+  for (const SendOp& op : sends) n += op.bytes;
   return n;
 }
 

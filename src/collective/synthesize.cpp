@@ -33,6 +33,7 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -120,187 +121,100 @@ std::uint64_t validator_bytes(CallType call, int nranks) {
 // generate.hpp). Chunk ids follow the per-call conventions of verify.cpp,
 // mapped through `r` back to world ids where the convention is rank-keyed.
 
-Schedule shell(CallType call, int n, std::uint64_t payload, int num_chunks) {
-  Schedule s;
+/// Resets the reused buffer `s` to an empty kSynth schedule.
+void shell(Schedule& s, CallType call, int n, std::uint64_t payload,
+           int num_chunks) {
+  s.clear();
   s.call = call;
   s.algo = ScheduleKind::kSynth;
   s.nranks = n;
   s.payload = payload;
   s.num_chunks = num_chunks;
-  return s;
 }
 
 int order_size(const std::vector<int>& r) { return static_cast<int>(r.size()); }
 
-/// Partners per position in a radix round at stride h: the j in
-/// [1, radix) with j * h < n.
-std::size_t partner_count(int n, int radix, std::int64_t h) {
-  return static_cast<std::size_t>(
-      std::min<std::int64_t>(radix - 1, (n - 1) / h));
-}
-
-Schedule knomial_bcast_over(const std::vector<int>& r, std::uint64_t payload,
-                            int k, CallType call) {
+/// One k-nomial tree level at `stride`: positions [stride, min(k * stride,
+/// n)) each hear from one sender; `up` flips every edge (fan-in).
+void knomial_level(Schedule& s, const std::vector<int>& r,
+                   std::uint64_t payload, int k, std::int64_t stride,
+                   bool up) {
   const int n = order_size(r);
-  Schedule s = shell(call, n, payload, 1);
-  for (std::int64_t stride = 1; stride < n; stride *= k) {
-    Step step;
-    // Positions [stride, min(k * stride, n)) each hear from one sender.
-    step.sends.reserve(static_cast<std::size_t>(
-        std::min<std::int64_t>((k - 1) * stride, n - stride)));
-    const std::int64_t informed = std::min<std::int64_t>(stride, n);
-    for (std::int64_t i = 0; i < informed; ++i) {
-      for (int j = 1; j < k; ++j) {
-        const std::int64_t dst = i + static_cast<std::int64_t>(j) * stride;
-        if (dst >= n) break;
-        step.sends.push_back({r[static_cast<std::size_t>(i)],
-                              r[static_cast<std::size_t>(dst)], payload, {0}});
-      }
+  s.begin_step();
+  for (std::int64_t i = 0; i < std::min<std::int64_t>(stride, n); ++i) {
+    for (int j = 1; j < k; ++j) {
+      const std::int64_t dst = i + static_cast<std::int64_t>(j) * stride;
+      if (dst >= n) break;
+      const int a = r[static_cast<std::size_t>(i)];
+      const int b = r[static_cast<std::size_t>(dst)];
+      s.add_send(up ? b : a, up ? a : b, payload, 0);
     }
-    if (!step.sends.empty()) s.steps.push_back(std::move(step));
   }
-  return s;
 }
 
-/// Fan-in tree: the broadcast tree with step order reversed and every edge
-/// flipped — each send folds a child subtree's partial into its parent.
-Schedule knomial_reduce_over(const std::vector<int>& r, std::uint64_t payload,
-                             int k, CallType call) {
-  Schedule b = knomial_bcast_over(r, payload, k, call);
-  Schedule s = shell(call, order_size(r), payload, 1);
-  s.steps.reserve(b.steps.size());
-  for (auto it = b.steps.rbegin(); it != b.steps.rend(); ++it) {
-    Step step;
-    step.sends.reserve(it->sends.size());
-    for (const SendOp& op : it->sends) {
-      step.sends.push_back({op.dst, op.src, payload, {0}});
-    }
-    s.steps.push_back(std::move(step));
+void knomial_bcast_over(Schedule& s, const std::vector<int>& r,
+                        std::uint64_t payload, int k) {
+  for (std::int64_t stride = 1; stride < order_size(r); stride *= k) {
+    knomial_level(s, r, payload, k, stride, /*up=*/false);
   }
-  return s;
 }
 
-Schedule knomial_allreduce_over(const std::vector<int>& r,
-                                std::uint64_t payload, int k, CallType call) {
-  Schedule red = knomial_reduce_over(r, payload, k, call);
-  Schedule bc = knomial_bcast_over(r, payload, k, call);
-  Schedule s = shell(call, order_size(r), payload, 1);
-  s.steps = std::move(red.steps);
-  s.steps.reserve(s.steps.size() + bc.steps.size());
-  for (Step& step : bc.steps) s.steps.push_back(std::move(step));
-  return s;
+/// Fan-in tree: the broadcast tree with level order reversed and every
+/// edge flipped — each send folds a child subtree's partial into its parent.
+void knomial_reduce_over(Schedule& s, const std::vector<int>& r,
+                         std::uint64_t payload, int k) {
+  std::int64_t stride = 1;
+  while (stride * k < order_size(r)) stride *= k;
+  for (; stride >= 1 && stride < order_size(r); stride /= k) {
+    knomial_level(s, r, payload, k, stride, /*up=*/true);
+  }
 }
 
 /// Radix-r dissemination: each round multiplies every rank's contribution
 /// window by r; r = n degenerates to the 1-step direct exchange.
-Schedule dissemination_over(const std::vector<int>& r, std::uint64_t payload,
-                            int radix, CallType call) {
+void dissemination_over(Schedule& s, const std::vector<int>& r,
+                        std::uint64_t payload, int radix) {
   const int n = order_size(r);
-  Schedule s = shell(call, n, payload, 1);
   for (std::int64_t h = 1; h < n; h *= radix) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n) *
-                       partner_count(n, radix, h));
+    s.begin_step();
     for (int i = 0; i < n; ++i) {
       for (int j = 1; j < radix; ++j) {
         const std::int64_t dist = static_cast<std::int64_t>(j) * h;
         if (dist >= n) break;
         const int dst = static_cast<int>((i + dist) % n);
-        step.sends.push_back({r[static_cast<std::size_t>(i)],
-                              r[static_cast<std::size_t>(dst)], payload, {0}});
+        s.add_send(r[static_cast<std::size_t>(i)],
+                   r[static_cast<std::size_t>(dst)], payload, 0);
       }
     }
-    if (!step.sends.empty()) s.steps.push_back(std::move(step));
   }
-  return s;
 }
 
-Schedule ring_allgather_over(const std::vector<int>& r,
-                             std::uint64_t payload) {
+/// Ring steps over the order: at step t position i sends to i + 1 the
+/// chunk `chunk(i, t)`, charging `bytes` (allgather, reduce-scatter, and
+/// the two halves of the ring allreduce).
+template <typename Chunk>
+void ring_over(Schedule& s, const std::vector<int>& r, std::uint64_t bytes,
+               const Chunk& chunk) {
   const int n = order_size(r);
-  Schedule s = shell(CallType::kAllgather, n, payload, n);
-  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
   for (int t = 0; t + 1 < n; ++t) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n));
+    s.begin_step();
     for (int i = 0; i < n; ++i) {
-      const int from = ((i - t) % n + n) % n;  // block received t steps ago
-      step.sends.push_back({r[static_cast<std::size_t>(i)],
-                            r[static_cast<std::size_t>((i + 1) % n)], payload,
-                            {r[static_cast<std::size_t>(from)]}});
+      s.add_send(r[static_cast<std::size_t>(i)],
+                 r[static_cast<std::size_t>((i + 1) % n)], bytes, chunk(i, t));
     }
-    s.steps.push_back(std::move(step));
   }
-  return s;
 }
 
-Schedule ring_reduce_scatter_over(const std::vector<int>& r,
-                                  std::uint64_t payload) {
-  const int n = order_size(r);
-  Schedule s = shell(CallType::kReduceScatter, n, payload, n);
-  // Chunk for position c circulates from position c+1 to its home c,
-  // folding every position's contribution on the way.
-  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
-  for (int t = 0; t + 1 < n; ++t) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int c = ((i - t - 1) % n + n) % n;
-      step.sends.push_back({r[static_cast<std::size_t>(i)],
-                            r[static_cast<std::size_t>((i + 1) % n)], payload,
-                            {r[static_cast<std::size_t>(c)]}});
-    }
-    s.steps.push_back(std::move(step));
-  }
-  return s;
-}
-
-Schedule ring_allreduce_over(const std::vector<int>& r,
-                             std::uint64_t payload) {
-  const int n = order_size(r);
-  Schedule s = shell(CallType::kAllreduce, n, payload, std::max(n, 1));
-  if (n <= 1) return s;
-  const std::uint64_t share =
-      (payload + static_cast<std::uint64_t>(n) - 1) /
-      static_cast<std::uint64_t>(n);
-  s.steps.reserve(2 * static_cast<std::size_t>(n - 1));
-  // Reduce-scatter phase: chunk c (a vector segment, position-labeled)
-  // accumulates around the ring and lands fully reduced at position c.
-  for (int t = 0; t + 1 < n; ++t) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int c = ((i - t - 1) % n + n) % n;
-      step.sends.push_back({r[static_cast<std::size_t>(i)],
-                            r[static_cast<std::size_t>((i + 1) % n)], share,
-                            {c}});
-    }
-    s.steps.push_back(std::move(step));
-  }
-  // Allgather phase: the reduced chunks circulate to every position.
-  for (int t = 0; t + 1 < n; ++t) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int c = ((i - t) % n + n) % n;
-      step.sends.push_back({r[static_cast<std::size_t>(i)],
-                            r[static_cast<std::size_t>((i + 1) % n)], share,
-                            {c}});
-    }
-    s.steps.push_back(std::move(step));
-  }
-  return s;
-}
+int ring_mod(int v, int n) { return (v % n + n) % n; }
 
 /// Radix-r Bruck allgather by simulation: every position holds a window of
 /// origin blocks; each round, up to r-1 partners at strides j*h forward
 /// ship the blocks the receiver lacks. Sends are computed against the
 /// pre-round held sets, matching the validator's parallel-step semantics.
-Schedule bruck_allgather_over(const std::vector<int>& r,
-                              std::uint64_t payload, int radix) {
+void bruck_allgather_over(Schedule& s, const std::vector<int>& r,
+                          std::uint64_t payload, int radix) {
   const int n = order_size(r);
-  Schedule s = shell(CallType::kAllgather, n, payload, n);
-  if (n <= 1) return s;
+  if (n <= 1) return;
   // Bit q of row p: position p holds position q's block.
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   std::vector<std::uint64_t> held(static_cast<std::size_t>(n) * words, 0);
@@ -311,117 +225,118 @@ Schedule bruck_allgather_over(const std::vector<int>& r,
     held[at(p, static_cast<std::size_t>(p) / 64)] |= std::uint64_t{1}
                                                      << (p % 64);
   }
+  std::vector<std::uint64_t> next;
   int h = 1;
   while (h < n) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n) *
-                       partner_count(n, radix, h));  // an upper bound
+    s.begin_step();
     // next starts as held and only gains blocks, so "the receiver lacks
     // it, before and during the round" is one test against next.
-    std::vector<std::uint64_t> next = held;
+    next = held;
     for (int j = 1; j < radix; ++j) {
       const std::int64_t dist = static_cast<std::int64_t>(j) * h;
       if (dist >= n) break;
       for (int p = 0; p < n; ++p) {
         const int src = static_cast<int>((p + dist) % n);
-        SendOp op{r[static_cast<std::size_t>(src)],
-                  r[static_cast<std::size_t>(p)], 0, {}};
+        s.add_send(r[static_cast<std::size_t>(src)],
+                   r[static_cast<std::size_t>(p)], 0);
         for (std::size_t w = 0; w < words; ++w) {
           std::uint64_t fresh = held[at(src, w)] & ~next[at(p, w)];
           next[at(p, w)] |= fresh;
           for (; fresh != 0; fresh &= fresh - 1) {
-            const std::size_t q =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(fresh));
-            op.chunks.push_back(r[q]);
+            s.add_chunk(r[w * 64 + static_cast<std::size_t>(
+                                       std::countr_zero(fresh))]);
           }
         }
-        if (!op.chunks.empty()) {
-          op.bytes = payload * op.chunks.size();
-          step.sends.push_back(std::move(op));
-        }
+        SendOp& op = s.sends.back();
+        if (op.chunk_count == 0) s.sends.pop_back();
+        else op.bytes = payload * op.chunk_count;
       }
     }
     held.swap(next);
-    if (step.sends.empty()) break;  // defensive; j=1 always makes progress
-    s.steps.push_back(std::move(step));
+    if (s.step(s.num_steps() - 1).empty()) {  // defensive; j=1 progresses
+      s.pop_step();
+      break;
+    }
     int count = 0;
     for (std::size_t w = 0; w < words; ++w) {
       count += std::popcount(held[at(0, w)]);
     }
     h = count;
   }
-  return s;
 }
 
 /// Radix-r digit Bruck alltoall: block (o -> d) travels its ring distance
 /// one base-r digit per round (v * r^t positions for digit v at weight
 /// r^t); r = 2 is the canned Bruck, r >= n the 1-step direct exchange.
-Schedule bruck_alltoall_over(const std::vector<int>& r, std::uint64_t payload,
-                             int radix, CallType call) {
+/// Each round counting-sorts the moving blocks by (holder position, digit
+/// value) and ships each bucket, in block order, as one send.
+void bruck_alltoall_over(Schedule& s, const std::vector<int>& r,
+                         std::uint64_t payload, int radix) {
   const int n = order_size(r);
-  Schedule s = shell(call, n, payload, std::max(n * n, 1));
+  const auto buckets = static_cast<std::size_t>(n) * radix;
+  std::vector<int> digit(static_cast<std::size_t>(n));
+  std::vector<int> below(static_cast<std::size_t>(n));
+  std::vector<std::size_t> first(buckets + 1);
+  std::vector<std::size_t> next(buckets);
+  std::vector<int> sorted;
   for (std::int64_t h = 1; h < n; h *= radix) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n) *
-                       partner_count(n, radix, h));  // an upper bound
     // Per ring distance: its digit at weight h, and its remainder below h.
-    std::vector<int> digit(static_cast<std::size_t>(n));
-    std::vector<int> below(static_cast<std::size_t>(n));
     for (int dist = 0; dist < n; ++dist) {
       digit[static_cast<std::size_t>(dist)] =
           static_cast<int>((dist / h) % radix);
       below[static_cast<std::size_t>(dist)] = static_cast<int>(dist % h);
     }
-    // Deterministic bucket order: (holder position, digit value) ascending.
-    std::vector<std::vector<int>> bucket(
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(radix));
+    // The bucket of block (o, d) this round, or `buckets` if it stays put.
+    const auto bucket_of = [&](int o, int d) {
+      const int dist = d >= o ? d - o : d - o + n;
+      const int v = digit[static_cast<std::size_t>(dist)];
+      if (v == 0) return buckets;  // dist 0 has digit 0 too
+      int holder = o + below[static_cast<std::size_t>(dist)];
+      if (holder >= n) holder -= n;
+      return static_cast<std::size_t>(holder) * radix + v;
+    };
+    std::fill(first.begin(), first.end(), 0);
     for (int o = 0; o < n; ++o) {
       for (int d = 0; d < n; ++d) {
-        const int dist = d >= o ? d - o : d - o + n;
-        if (dist == 0) continue;
-        const int v = digit[static_cast<std::size_t>(dist)];
-        if (v == 0) continue;
-        int holder = o + below[static_cast<std::size_t>(dist)];
-        if (holder >= n) holder -= n;
-        bucket[static_cast<std::size_t>(holder) * radix + v].push_back(
-            r[static_cast<std::size_t>(o)] * n +
-            r[static_cast<std::size_t>(d)]);
+        if (const std::size_t b = bucket_of(o, d); b < buckets) ++first[b + 1];
       }
     }
-    for (int holder = 0; holder < n; ++holder) {
-      for (int v = 1; v < radix; ++v) {
-        auto& chunks = bucket[static_cast<std::size_t>(holder) * radix + v];
-        if (chunks.empty()) continue;
-        const int dst =
-            static_cast<int>((holder + static_cast<std::int64_t>(v) * h) % n);
-        step.sends.push_back({r[static_cast<std::size_t>(holder)],
-                              r[static_cast<std::size_t>(dst)],
-                              payload * chunks.size(), std::move(chunks)});
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    std::copy(first.begin(), first.end() - 1, next.begin());
+    sorted.resize(first.back());
+    for (int o = 0; o < n; ++o) {
+      for (int d = 0; d < n; ++d) {
+        if (const std::size_t b = bucket_of(o, d); b < buckets) {
+          sorted[next[b]++] = r[static_cast<std::size_t>(o)] * n +
+                              r[static_cast<std::size_t>(d)];
+        }
       }
     }
-    if (!step.sends.empty()) s.steps.push_back(std::move(step));
+    s.begin_step();
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const std::size_t cnt = first[b + 1] - first[b];
+      if (cnt == 0) continue;
+      const auto holder = static_cast<std::int64_t>(b / radix);
+      const auto v = static_cast<std::int64_t>(b % radix);
+      s.add_send(r[static_cast<std::size_t>(holder)],
+                 r[static_cast<std::size_t>((holder + v * h) % n)],
+                 payload * cnt, std::span(sorted).subspan(first[b], cnt));
+    }
+    if (s.step(s.num_steps() - 1).empty()) s.pop_step();
   }
-  return s;
 }
 
-Schedule pairwise_alltoall_over(const std::vector<int>& r,
-                                std::uint64_t payload, CallType call) {
+void pairwise_alltoall_over(Schedule& s, const std::vector<int>& r,
+                            std::uint64_t payload) {
   const int n = order_size(r);
-  Schedule s = shell(call, n, payload, std::max(n * n, 1));
-  s.steps.reserve(static_cast<std::size_t>(std::max(n - 1, 0)));
   for (int off = 1; off < n; ++off) {
-    Step step;
-    step.sends.reserve(static_cast<std::size_t>(n));
+    s.begin_step();
     for (int i = 0; i < n; ++i) {
-      const int dst = (i + off) % n;
-      step.sends.push_back({r[static_cast<std::size_t>(i)],
-                            r[static_cast<std::size_t>(dst)], payload,
-                            {r[static_cast<std::size_t>(i)] * n +
-                             r[static_cast<std::size_t>(dst)]}});
+      const int src = r[static_cast<std::size_t>(i)];
+      const int dst = r[static_cast<std::size_t>((i + off) % n)];
+      s.add_send(src, dst, payload, src * n + dst);
     }
-    s.steps.push_back(std::move(step));
   }
-  return s;
 }
 
 // -------------------------------------------------------------------------
@@ -500,40 +415,75 @@ enum class Gen : int {
   kPairwiseAlltoall,
 };
 
-std::optional<Schedule> instantiate(Gen gen, int param,
-                                    const std::vector<int>& r, CallType call,
-                                    std::uint64_t payload) {
+/// Instantiates a parametric skeleton into the reused buffer `s`.
+void build(Schedule& s, Gen gen, int param, const std::vector<int>& r,
+           CallType call, std::uint64_t payload) {
+  const int n = order_size(r);
   switch (gen) {
     case Gen::kKnomialBcast:
-      return knomial_bcast_over(r, payload, param, call);
+      shell(s, call, n, payload, 1);
+      knomial_bcast_over(s, r, payload, param);
+      return;
     case Gen::kKnomialReduce:
-      return knomial_reduce_over(r, payload, param, call);
+      shell(s, call, n, payload, 1);
+      knomial_reduce_over(s, r, payload, param);
+      return;
     case Gen::kKnomialAllreduce:
-      return knomial_allreduce_over(r, payload, param, call);
+      shell(s, call, n, payload, 1);
+      knomial_reduce_over(s, r, payload, param);
+      knomial_bcast_over(s, r, payload, param);
+      return;
     case Gen::kDissemination:
-      return dissemination_over(r, payload, param, call);
-    case Gen::kRingAllreduce:
-      return ring_allreduce_over(r, payload);
-    case Gen::kRingAllgather:
-      return ring_allgather_over(r, payload);
+      shell(s, call, n, payload, 1);
+      dissemination_over(s, r, payload, param);
+      return;
+    case Gen::kRingAllreduce: {
+      // Chunk c is a position-labeled vector segment: it accumulates
+      // around the ring to position c, then circulates to every position.
+      shell(s, CallType::kAllreduce, n, payload, std::max(n, 1));
+      const auto un = static_cast<std::uint64_t>(n);
+      const std::uint64_t share = (payload + un - 1) / un;
+      ring_over(s, r, share, [n](int i, int t) {
+        return ring_mod(i - t - 1, n);
+      });
+      ring_over(s, r, share, [n](int i, int t) { return ring_mod(i - t, n); });
+      return;
+    }
+    case Gen::kRingAllgather:  // forwards the block received t steps ago
+      shell(s, CallType::kAllgather, n, payload, n);
+      ring_over(s, r, payload, [&r, n](int i, int t) {
+        return r[static_cast<std::size_t>(ring_mod(i - t, n))];
+      });
+      return;
     case Gen::kRingReduceScatter:
-      return ring_reduce_scatter_over(r, payload);
+      // Chunk for position c circulates from position c+1 to its home c,
+      // folding every position's contribution on the way.
+      shell(s, CallType::kReduceScatter, n, payload, n);
+      ring_over(s, r, payload, [&r, n](int i, int t) {
+        return r[static_cast<std::size_t>(ring_mod(i - t - 1, n))];
+      });
+      return;
     case Gen::kBruckAllgather:
-      return bruck_allgather_over(r, payload, param);
+      shell(s, CallType::kAllgather, n, payload, n);
+      bruck_allgather_over(s, r, payload, param);
+      return;
     case Gen::kBruckAlltoall:
-      return bruck_alltoall_over(r, payload, param, call);
+      shell(s, call, n, payload, std::max(n * n, 1));
+      bruck_alltoall_over(s, r, payload, param);
+      return;
     case Gen::kPairwiseAlltoall:
-      return pairwise_alltoall_over(r, payload, call);
+      shell(s, call, n, payload, std::max(n * n, 1));
+      pairwise_alltoall_over(s, r, payload);
+      return;
     case Gen::kCanned:
       break;
   }
-  return std::nullopt;
+  HFAST_EXPECTS_MSG(false, "instantiate: canned seeds have no skeleton");
 }
 
-struct ParamGen {
-  Gen gen;
-  int param;  // radix / tree arity; 0 when the generator takes none
-};
+Skeleton skeleton(Gen gen, int param) {
+  return {static_cast<int>(gen), param};
+}
 
 /// Dedup-append `value` (>= 2, <= n) to a parameter list.
 void add_param(std::vector<int>& params, int value, int n) {
@@ -543,63 +493,6 @@ void add_param(std::vector<int>& params, int value, int n) {
   }
 }
 
-std::vector<ParamGen> parametric_generators(CallType call, int n) {
-  std::vector<ParamGen> gens;
-  std::vector<int> radii;
-  const auto radix_set = [&](std::initializer_list<int> base) {
-    radii.clear();
-    for (int v : base) add_param(radii, v, n);
-    add_param(radii, n, n);  // the 1-step direct variant
-    return radii;
-  };
-  switch (call) {
-    case CallType::kBcast:
-      for (int k : radix_set({2, 3, 4, 8})) {
-        gens.push_back({Gen::kKnomialBcast, k});
-      }
-      break;
-    case CallType::kReduce:
-      for (int k : radix_set({2, 3, 4, 8})) {
-        gens.push_back({Gen::kKnomialReduce, k});
-      }
-      break;
-    case CallType::kAllreduce:
-    case CallType::kBarrier:
-    case CallType::kCommSplit:
-      for (int k : radix_set({2, 3, 4, 8})) {
-        gens.push_back({Gen::kKnomialAllreduce, k});
-      }
-      for (int r : radix_set({2, 3, 4, 8})) {
-        gens.push_back({Gen::kDissemination, r});
-      }
-      if (call == CallType::kAllreduce) {
-        gens.push_back({Gen::kRingAllreduce, 0});
-      }
-      break;
-    case CallType::kAllgather:
-      for (int r : radix_set({2, 3, 4, 8})) {
-        gens.push_back({Gen::kBruckAllgather, r});
-      }
-      gens.push_back({Gen::kRingAllgather, 0});
-      break;
-    case CallType::kReduceScatter:
-      gens.push_back({Gen::kRingReduceScatter, 0});
-      break;
-    case CallType::kAlltoall:
-    case CallType::kAlltoallv:
-      for (int r : radix_set({2, 3, 4, 8, 16, 64})) {
-        gens.push_back({Gen::kBruckAlltoall, r});
-      }
-      gens.push_back({Gen::kPairwiseAlltoall, 0});
-      break;
-    case CallType::kScan:
-      break;  // canned seeds only
-    default:
-      break;
-  }
-  return gens;
-}
-
 /// What the search keeps of a candidate: its place in the search order
 /// (better()) and how to re-instantiate it. Only the best keeps a schedule.
 struct Entry {
@@ -607,8 +500,7 @@ struct Entry {
   std::size_t steps = 0;
   std::size_t sends = 0;
   std::size_t index = 0;  // generation order; final tie-break
-  Gen gen = Gen::kCanned;
-  int param = 0;
+  Skeleton skeleton;      // gen 0 (Gen::kCanned) for canned seeds
   std::vector<int> perm;  // empty for canned seeds
 };
 
@@ -625,17 +517,15 @@ bool better(const Entry& a, const Entry& b) {
 /// no self-send (estimate_cost tallies bytes per endpoint, and network hop
 /// oracles reject u == v). The validator rejects both as well.
 bool priceable(const Schedule& s) {
-  for (const Step& step : s.steps) {
-    for (const SendOp& op : step.sends) {
-      if (op.src < 0 || op.src >= s.nranks || op.dst < 0 ||
-          op.dst >= s.nranks || op.src == op.dst) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return std::all_of(s.sends.begin(), s.sends.end(), [&s](const SendOp& op) {
+    return op.src >= 0 && op.src < s.nranks && op.dst >= 0 &&
+           op.dst < s.nranks && op.src != op.dst;
+  });
 }
 
+/// Every candidate is instantiated into one reused scratch schedule, whose
+/// capacity survives from candidate to candidate; only a candidate that
+/// becomes the best is copied out, into a buffer that is reused as well.
 class Searcher {
  public:
   Searcher(CallType call, int n, std::uint64_t payload,
@@ -649,22 +539,23 @@ class Searcher {
   /// that fails its proof is dropped, which also leaves it as it was. The
   /// admitted sequence, and so the winner, is that of proving every
   /// candidate first; and every admitted candidate is proved.
-  void consider(Schedule s, Gen gen, int param, std::vector<int> perm) {
+  void consider(const Schedule& s, Skeleton sk, const std::vector<int>& perm) {
     const std::size_t index = candidates_++;
-    if (!priceable(s)) return;
-    Entry e{estimate_cost(s, opts_.cost, hops_),
-            s.steps.size(),
-            s.total_sends(),
-            index,
-            gen,
-            param,
-            {}};
-    const bool to_best = !best_.has_value() || better(e, best_->entry);
+    if (priceable(s)) {
+      admit(s, estimate_cost(s, opts_.cost, hops_), index, sk, perm);
+    }
+  }
+
+  /// consider() once `s` is priced at `cost`.
+  void admit(const Schedule& s, double cost, std::size_t index, Skeleton sk,
+             const std::vector<int>& perm) {
+    Entry e{cost, s.num_steps(), s.total_sends(), index, sk, {}};
+    const bool to_best = !best_.has_value() || better(e, *best_);
     const auto width =
         static_cast<std::size_t>(std::max(1, opts_.beam_width));
     const auto slot = std::lower_bound(beam_.begin(), beam_.end(), e, better);
     const bool to_beam =
-        gen != Gen::kCanned && !perm.empty() &&
+        sk.gen != static_cast<int>(Gen::kCanned) && !perm.empty() &&
         static_cast<std::size_t>(slot - beam_.begin()) < width;
     if (!to_best && !to_beam) return;
     try {
@@ -673,9 +564,12 @@ class Searcher {
       return;  // structurally or semantically invalid: not admissible
     }
     ++validated_;
-    if (to_best) best_ = Best{e, std::move(s)};
+    if (to_best) {
+      best_ = e;
+      best_schedule_ = s;
+    }
     if (to_beam) {
-      e.perm = std::move(perm);
+      e.perm = perm;
       beam_.insert(slot, std::move(e));
       if (beam_.size() > width) beam_.pop_back();
     }
@@ -695,18 +589,20 @@ class Searcher {
           ScheduleKind::kBinomial, ScheduleKind::kBruck,
           ScheduleKind::kPairwise, ScheduleKind::kHierarchical}) {
       if (kind == ScheduleKind::kHierarchical && !smp) continue;
-      auto canned = generate_schedule(kind, call_, n_, payload_, node_map);
-      if (!canned.has_value()) continue;
+      if (!generate_into(scratch_, kind, call_, n_, payload_, node_map)) {
+        continue;
+      }
       // Track the kAuto baseline from the same candidates (same tie-break
       // as select_schedule: lowest enum on equal cost).
-      const double cost = estimate_cost(*canned, opts_.cost, hops_);
+      const std::size_t index = candidates_++;
+      const double cost = estimate_cost(scratch_, opts_.cost, hops_);
       if (!auto_cost_.has_value() || cost < *auto_cost_ ||
           (cost == *auto_cost_ &&
            static_cast<int>(kind) < static_cast<int>(auto_algo_))) {
         auto_cost_ = cost;
         auto_algo_ = kind;
       }
-      consider(std::move(*canned), Gen::kCanned, 0, {});
+      if (priceable(scratch_)) admit(scratch_, cost, index, Skeleton{}, {});
     }
   }
 
@@ -729,12 +625,10 @@ class Searcher {
       }
       orders = std::move(unique);
     }
-    for (const ParamGen& pg : parametric_generators(call_, n_)) {
+    for (const Skeleton& sk : skeletons(call_, n_)) {
       for (const std::vector<int>& order : orders) {
-        auto s = instantiate(pg.gen, pg.param, order, call_, payload_);
-        if (s.has_value()) {
-          consider(std::move(*s), pg.gen, pg.param, order);
-        }
+        instantiate(scratch_, sk, order, call_, payload_);
+        consider(scratch_, sk, order);
       }
     }
   }
@@ -744,6 +638,7 @@ class Searcher {
   /// with no frontier improvement ends refinement.
   void refine(Lcg& lcg) {
     if (n_ < 4 || n_ > kMaxPermRanks) return;
+    std::vector<int> perm;
     for (int round = 0; round < std::max(0, opts_.rounds); ++round) {
       bool improved = false;
       const int proposals = std::max(1, opts_.beam_width) + 2 * round;
@@ -758,16 +653,14 @@ class Searcher {
           const int b = 1 + static_cast<int>(
                                 lcg.below(static_cast<std::uint64_t>(span)));
           if (a == b) continue;
-          std::vector<int> perm = e.perm;
+          perm = e.perm;
           std::swap(perm[static_cast<std::size_t>(a)],
                     perm[static_cast<std::size_t>(b)]);
-          auto s = instantiate(e.gen, e.param, perm, call_, payload_);
-          if (!s.has_value()) continue;
+          instantiate(scratch_, e.skeleton, perm, call_, payload_);
           const bool had_best = best_.has_value();
-          const double prev_cost = had_best ? best_->entry.cost : 0.0;
-          consider(std::move(*s), e.gen, e.param, std::move(perm));
-          if (best_.has_value() &&
-              (!had_best || best_->entry.cost < prev_cost)) {
+          const double prev_cost = had_best ? best_->cost : 0.0;
+          consider(scratch_, e.skeleton, perm);
+          if (best_.has_value() && (!had_best || best_->cost < prev_cost)) {
             improved = true;
           }
         }
@@ -776,14 +669,11 @@ class Searcher {
     }
   }
 
-  struct Best {
-    Entry entry;
-    Schedule schedule;
-  };
-
   std::size_t candidates() const { return candidates_; }
   std::size_t validated() const { return validated_; }
-  const std::optional<Best>& best() const { return best_; }
+  const std::optional<Entry>& best() const { return best_; }
+  /// The best schedule, moved out; the search is over after this.
+  Schedule take_best() { return std::move(best_schedule_); }
   double auto_cost() const { return auto_cost_.value_or(0.0); }
   ScheduleKind auto_algo() const { return auto_algo_; }
 
@@ -795,13 +685,79 @@ class Searcher {
   const HopFn& hops_;  // opts_.hops, read through a HopTable
   std::size_t candidates_ = 0;
   std::size_t validated_ = 0;
-  std::optional<Best> best_;
+  std::optional<Entry> best_;
+  Schedule best_schedule_;
+  Schedule scratch_;
   std::vector<Entry> beam_;  // ascending under better(), at most beam_width
   std::optional<double> auto_cost_;
   ScheduleKind auto_algo_ = ScheduleKind::kRing;
 };
 
 }  // namespace
+
+std::vector<Skeleton> skeletons(CallType call, int n) {
+  std::vector<Skeleton> gens;
+  std::vector<int> radii;
+  const auto radix_set = [&](std::initializer_list<int> base) {
+    radii.clear();
+    for (int v : base) add_param(radii, v, n);
+    add_param(radii, n, n);  // the 1-step direct variant
+    return radii;
+  };
+  switch (call) {
+    case CallType::kBcast:
+      for (int k : radix_set({2, 3, 4, 8})) {
+        gens.push_back(skeleton(Gen::kKnomialBcast, k));
+      }
+      break;
+    case CallType::kReduce:
+      for (int k : radix_set({2, 3, 4, 8})) {
+        gens.push_back(skeleton(Gen::kKnomialReduce, k));
+      }
+      break;
+    case CallType::kAllreduce:
+    case CallType::kBarrier:
+    case CallType::kCommSplit:
+      for (int k : radix_set({2, 3, 4, 8})) {
+        gens.push_back(skeleton(Gen::kKnomialAllreduce, k));
+      }
+      for (int r : radix_set({2, 3, 4, 8})) {
+        gens.push_back(skeleton(Gen::kDissemination, r));
+      }
+      if (call == CallType::kAllreduce) {
+        gens.push_back(skeleton(Gen::kRingAllreduce, 0));
+      }
+      break;
+    case CallType::kAllgather:
+      for (int r : radix_set({2, 3, 4, 8})) {
+        gens.push_back(skeleton(Gen::kBruckAllgather, r));
+      }
+      gens.push_back(skeleton(Gen::kRingAllgather, 0));
+      break;
+    case CallType::kReduceScatter:
+      gens.push_back(skeleton(Gen::kRingReduceScatter, 0));
+      break;
+    case CallType::kAlltoall:
+    case CallType::kAlltoallv:
+      for (int r : radix_set({2, 3, 4, 8, 16, 64})) {
+        gens.push_back(skeleton(Gen::kBruckAlltoall, r));
+      }
+      gens.push_back(skeleton(Gen::kPairwiseAlltoall, 0));
+      break;
+    case CallType::kScan:
+      break;  // canned seeds only
+    default:
+      break;
+  }
+  return gens;
+}
+
+void instantiate(Schedule& out, Skeleton skeleton,
+                 const std::vector<int>& order, mpisim::CallType call,
+                 std::uint64_t payload) {
+  build(out, static_cast<Gen>(skeleton.gen), skeleton.param, order, call,
+        payload);
+}
 
 std::uint64_t topology_hash(int nranks, const HopFn& hops) {
   std::uint64_t h = util::kFnv1a64Offset;
@@ -906,9 +862,9 @@ SynthesisResult synthesize(mpisim::CallType call, int nranks,
 
   HFAST_ASSERT_MSG(search.best().has_value(),
                    "synthesize: canned seeds must yield a candidate");
-  result.schedule = search.best()->schedule;
+  result.cost = search.best()->cost;
+  result.schedule = search.take_best();
   result.schedule.algo = ScheduleKind::kSynth;
-  result.cost = search.best()->entry.cost;
   result.auto_cost = search.auto_cost();
   result.auto_algo = search.auto_algo();
   result.candidates = search.candidates();

@@ -83,9 +83,9 @@ void check_structure(const Schedule& s) {
   if (n < 1) throw Error("collective schedule: nranks must be >= 1");
   if (s.num_chunks < 1) throw Error("collective schedule: empty chunk space");
   PairSet pairs;
-  for (std::size_t si = 0; si < s.steps.size(); ++si) {
-    pairs.reset(s.steps[si].sends.size());
-    for (const SendOp& op : s.steps[si].sends) {
+  for (std::size_t si = 0; si < s.num_steps(); ++si) {
+    pairs.reset(s.step(si).size());
+    for (const SendOp& op : s.step(si)) {
       if (op.src < 0 || op.src >= n || op.dst < 0 || op.dst >= n) {
         bad(s, si, "send endpoint (" + std::to_string(op.src) + " -> " +
                        std::to_string(op.dst) + ") outside [0, " +
@@ -98,11 +98,11 @@ void check_structure(const Schedule& s) {
         bad(s, si, "two sends on ordered pair " + std::to_string(op.src) +
                        " -> " + std::to_string(op.dst));
       }
-      if (op.chunks.empty()) {
+      if (op.chunk_count == 0) {
         bad(s, si, "send " + std::to_string(op.src) + " -> " +
                        std::to_string(op.dst) + " carries no chunks");
       }
-      for (int c : op.chunks) {
+      for (int c : s.chunks_of(op)) {
         if (c < 0 || c >= s.num_chunks) {
           bad(s, si, "chunk id " + std::to_string(c) + " outside [0, " +
                          std::to_string(s.num_chunks) + ")");
@@ -153,9 +153,9 @@ void check_presence(const Schedule& s) {
   // alltoall scale is P^3 bytes per step), a chunk that lands during a
   // step is marked kArriving and becomes readable (kHeld) when it ends.
   std::vector<std::size_t> arrived;
-  for (std::size_t si = 0; si < s.steps.size(); ++si) {
-    for (const SendOp& op : s.steps[si].sends) {
-      for (int c : op.chunks) {
+  for (std::size_t si = 0; si < s.num_steps(); ++si) {
+    for (const SendOp& op : s.step(si)) {
+      for (int c : s.chunks_of(op)) {
         if (has[row(s, op.src, c)] != kHeld) {
           bad(s, si, "rank " + std::to_string(op.src) + " sends chunk " +
                          std::to_string(c) + " it does not hold yet");
@@ -173,7 +173,7 @@ void check_presence(const Schedule& s) {
   // `what` builds the diagnostic only when the check fails.
   const auto require = [&](int r, int c, const auto& what) {
     if (has[row(s, r, c)] != kHeld) {
-      bad(s, s.steps.size(), "after the last step " + what());
+      bad(s, s.num_steps(), "after the last step " + what());
     }
   };
   switch (s.call) {
@@ -240,10 +240,10 @@ void check_reduction(const Schedule& s) {
   // of its writes (OR is order-free), so reads see the pre-step state
   // without copying the table: O(words) per chunk the step carries.
   std::vector<std::uint64_t> staged;
-  for (const Step& step : s.steps) {
+  for (std::size_t si = 0; si < s.num_steps(); ++si) {
     staged.clear();
-    for (const SendOp& op : step.sends) {
-      for (int c : op.chunks) {
+    for (const SendOp& op : s.step(si)) {
+      for (int c : s.chunks_of(op)) {
         const auto src = contrib.begin() +
                          static_cast<std::ptrdiff_t>(row(s, op.src, c) * words);
         staged.insert(staged.end(), src,
@@ -251,8 +251,8 @@ void check_reduction(const Schedule& s) {
       }
     }
     const std::uint64_t* next = staged.data();
-    for (const SendOp& op : step.sends) {
-      for (int c : op.chunks) {
+    for (const SendOp& op : s.step(si)) {
+      for (int c : s.chunks_of(op)) {
         const std::size_t dst = row(s, op.dst, c) * words;
         for (std::size_t w = 0; w < words; ++w) contrib[dst + w] |= *next++;
       }
@@ -264,7 +264,7 @@ void check_reduction(const Schedule& s) {
   const auto require = [&](int r, int c, const auto& what) {
     for (std::size_t w = 0; w < words; ++w) {
       if (contrib[row(s, r, c) * words + w] != expect[w]) {
-        bad(s, s.steps.size(), "after the last step " + what());
+        bad(s, s.num_steps(), "after the last step " + what());
       }
     }
   };

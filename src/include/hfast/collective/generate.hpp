@@ -32,6 +32,13 @@ std::optional<Schedule> generate_schedule(
     ScheduleKind algo, mpisim::CallType call, int nranks,
     std::uint64_t payload, const std::vector<int>* node_of_rank = nullptr);
 
+/// generate_schedule into `out`, replacing its contents but keeping its
+/// capacity; false (with `out` unspecified) when generate_schedule would
+/// return nullopt.
+bool generate_into(Schedule& out, ScheduleKind algo, mpisim::CallType call,
+                   int nranks, std::uint64_t payload,
+                   const std::vector<int>* node_of_rank = nullptr);
+
 /// Canonical default family per call: binomial for the rooted ops, ring for
 /// allreduce/allgather/reduce-scatter, recursive doubling for
 /// barrier/comm-split/scan, Bruck for alltoall(v).

@@ -21,10 +21,12 @@
 /// per (origin, destination) block for alltoall.
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "hfast/mpisim/types.hpp"
+#include "hfast/util/assert.hpp"
 
 namespace hfast::collective {
 
@@ -93,29 +95,28 @@ struct CollectiveConfig {
                          const CollectiveConfig&) = default;
 };
 
-/// One scheduled message: src transmits `bytes` to dst, carrying the listed
-/// semantic chunks. `bytes` is explicit (never derived from the chunk list)
-/// so growing-payload compositions charge what they actually move.
+/// One scheduled message: src transmits `bytes` to dst, carrying the
+/// semantic chunks Schedule::chunks_of(op), which live in the owning
+/// schedule's chunk arena. `bytes` is explicit (never derived from the
+/// chunk count) so growing-payload compositions charge what they move.
 struct SendOp {
   int src = 0;
   int dst = 0;
   std::uint64_t bytes = 0;
-  std::vector<int> chunks;
+  std::uint32_t chunk_begin = 0;  ///< first chunk id's index in the arena
+  std::uint32_t chunk_count = 0;
 
   friend bool operator==(const SendOp&, const SendOp&) = default;
 };
 
-/// One parallel step: sends that may all proceed concurrently. No two sends
-/// in a step may share an ordered (src, dst) pair — the replay's per-channel
-/// FIFO matching needs distinct messages per pair per step to stay
-/// order-unambiguous (validator-enforced).
-struct Step {
-  std::vector<SendOp> sends;
-
-  friend bool operator==(const Step&, const Step&) = default;
-};
-
-/// A complete schedule for one collective instance at world size `nranks`.
+/// A complete schedule for one collective instance at world size `nranks`,
+/// stored as CSR: step s is sends[step_begin[s], step_begin[s + 1]) (the
+/// last step ends at sends.size()), and every send's chunk ids lie in one
+/// arena in send order. A step's sends may all proceed concurrently; no
+/// two of them may share an ordered (src, dst) pair — the replay's
+/// per-channel FIFO matching needs distinct messages per pair per step to
+/// stay order-unambiguous (validator-enforced). Generators append through
+/// begin_step()/add_send(), so the layout of equal schedules is equal.
 struct Schedule {
   mpisim::CallType call = mpisim::CallType::kBarrier;
   /// The generator that produced it (a concrete algorithm — never kAnalytic
@@ -130,10 +131,47 @@ struct Schedule {
   /// Size of the semantic chunk id space (see verify.cpp for the per-call
   /// meaning).
   int num_chunks = 1;
-  std::vector<Step> steps;
+  std::vector<std::size_t> step_begin;
+  std::vector<SendOp> sends;
+  std::vector<int> chunks;
 
-  std::size_t total_sends() const noexcept;
+  std::size_t num_steps() const noexcept { return step_begin.size(); }
+  std::span<const SendOp> step(std::size_t s) const noexcept {
+    const std::size_t end =
+        s + 1 < step_begin.size() ? step_begin[s + 1] : sends.size();
+    return {sends.data() + step_begin[s], end - step_begin[s]};
+  }
+  std::span<const int> chunks_of(const SendOp& op) const noexcept {
+    return {chunks.data() + op.chunk_begin, op.chunk_count};
+  }
+
+  /// Opens a new, empty last step.
+  void begin_step() { step_begin.push_back(sends.size()); }
+  /// Appends a send to the last step; add_chunk() extends the newest send.
+  /// The arena holds at most kMaxChunkIds ids (SendOp's offsets are 32-bit).
+  void add_send(int src, int dst, std::uint64_t bytes,
+                std::span<const int> ids = {});
+  void add_send(int src, int dst, std::uint64_t bytes, int id) {
+    HFAST_EXPECTS_MSG(chunks.size() < kMaxChunkIds, "schedule: arena full");
+    sends.push_back({src, dst, bytes,
+                     static_cast<std::uint32_t>(chunks.size()), 1});
+    chunks.push_back(id);
+  }
+  void add_chunk(int id) {
+    HFAST_EXPECTS_MSG(chunks.size() < kMaxChunkIds, "schedule: arena full");
+    chunks.push_back(id);
+    ++sends.back().chunk_count;
+  }
+  static constexpr std::size_t kMaxChunkIds = 0xffffffffu;
+  /// Drops the last step with its sends and their chunks.
+  void pop_step();
+  /// Drops every step, keeping the capacity for the next instantiation.
+  void clear() noexcept;
+
+  std::size_t total_sends() const noexcept { return sends.size(); }
   std::uint64_t total_bytes() const noexcept;
+
+  friend bool operator==(const Schedule&, const Schedule&) = default;
 };
 
 }  // namespace hfast::collective

@@ -83,6 +83,22 @@ struct SynthesisResult {
   bool searched = true;
 };
 
+/// One parametric skeleton of the search: a generator id (never 0, which
+/// marks canned seeds) and its radix or tree arity (0 if it takes none).
+struct Skeleton {
+  int gen = 0;
+  int param = 0;
+};
+
+/// The skeletons the search instantiates for `call` at P = `nranks`.
+std::vector<Skeleton> skeletons(mpisim::CallType call, int nranks);
+
+/// Builds `skeleton` over the rank order `order` (order[0] == 0 for rooted
+/// calls) into `out`, replacing its contents but keeping its capacity.
+void instantiate(Schedule& out, Skeleton skeleton,
+                 const std::vector<int>& order, mpisim::CallType call,
+                 std::uint64_t payload);
+
 /// FNV-1a digest of the full P x P hop matrix under `hops` — the
 /// topology component of the memo key. O(P^2) hop queries; compute once
 /// per (trace, fabric), not per collective instance.

@@ -165,9 +165,13 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     });
   }
 
-  std::vector<PendingTransfer> withheld;  // sorted, beyond past windows
+  // Transfers beyond past windows, a min-heap under PendingTransfer's
+  // order (std::*_heap keep the largest on top, hence `later`).
+  std::vector<PendingTransfer> withheld;
   std::vector<PendingTransfer> pending;
-  std::vector<PendingTransfer> merged;
+  const auto later = [](const PendingTransfer& a, const PendingTransfer& b) {
+    return b < a;
+  };
   std::exception_ptr failure;
   for (;;) {
     // Run our own shard to quiescence, then collect every other shard's
@@ -185,12 +189,10 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     }
     if (failure) break;
 
-    std::sort(pending.begin(), pending.end());
-    merged.clear();
-    merged.reserve(withheld.size() + pending.size());
-    std::merge(withheld.begin(), withheld.end(), pending.begin(),
-               pending.end(), std::back_inserter(merged));
-    withheld.swap(merged);
+    for (const PendingTransfer& t : pending) {
+      withheld.push_back(t);
+      std::push_heap(withheld.begin(), withheld.end(), later);
+    }
 
     // All ranks done: the remaining withheld transfers flush below. Nothing
     // in flight with a rank still waiting: a stall, which finish() reports.
@@ -204,14 +206,14 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     // window is final and can be sequenced. The workers are parked at the
     // gate, so the sequencer may write their receivers' channels and wake
     // flags; the gate's mutex publishes those writes to the next round.
+    // The heap pops in the serial order, and `start` never decreases along
+    // it, so this applies exactly the transfers inside the window, in order.
     const double window_end = withheld.front().start + lookahead;
-    std::size_t applied = 0;
-    while (applied < withheld.size() && withheld[applied].start < window_end) {
-      state.sequence(net, withheld[applied]);
-      ++applied;
+    while (!withheld.empty() && withheld.front().start < window_end) {
+      state.sequence(net, withheld.front());
+      std::pop_heap(withheld.begin(), withheld.end(), later);
+      withheld.pop_back();
     }
-    withheld.erase(withheld.begin(),
-                   withheld.begin() + static_cast<std::ptrdiff_t>(applied));
 
     for (auto& q : queues) q->reset_round();
     gate.release(/*exit=*/false);
@@ -223,6 +225,7 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
 
   // Unmatched sends: every rank finished but their transfers still owe the
   // network (and the stats) their traversal, just as in the serial loop.
+  std::sort(withheld.begin(), withheld.end());
   for (const PendingTransfer& t : withheld) state.sequence(net, t);
 }
 

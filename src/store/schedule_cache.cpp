@@ -133,15 +133,15 @@ void encode_schedule(Encoder& enc, const collective::Schedule& s) {
   enc.i32(s.nranks);
   enc.u64(s.payload);
   enc.i32(s.num_chunks);
-  enc.u64(s.steps.size());
-  for (const collective::Step& step : s.steps) {
-    enc.u64(step.sends.size());
-    for (const collective::SendOp& op : step.sends) {
+  enc.u64(s.num_steps());
+  for (std::size_t si = 0; si < s.num_steps(); ++si) {
+    enc.u64(s.step(si).size());
+    for (const collective::SendOp& op : s.step(si)) {
       enc.i32(op.src);
       enc.i32(op.dst);
       enc.u64(op.bytes);
-      enc.u32(static_cast<std::uint32_t>(op.chunks.size()));
-      for (int c : op.chunks) enc.i32(c);
+      enc.u32(op.chunk_count);
+      for (int c : s.chunks_of(op)) enc.i32(c);
     }
   }
 }
@@ -173,34 +173,28 @@ collective::Schedule decode_schedule(Decoder& dec) {
   }
   const std::uint64_t nsteps = dec.u64();
   dec.expect_backing(nsteps, 8);
-  s.steps.reserve(nsteps);
+  s.step_begin.reserve(nsteps);
   for (std::uint64_t si = 0; si < nsteps; ++si) {
-    collective::Step step;
+    s.begin_step();
     const std::uint64_t nsends = dec.u64();
     dec.expect_backing(nsends, 20);  // src + dst + bytes + chunk count
-    step.sends.reserve(nsends);
     for (std::uint64_t oi = 0; oi < nsends; ++oi) {
-      collective::SendOp op;
-      op.src = dec.i32();
-      op.dst = dec.i32();
-      if (op.src < 0 || op.src >= s.nranks || op.dst < 0 ||
-          op.dst >= s.nranks) {
+      const int src = dec.i32();
+      const int dst = dec.i32();
+      if (src < 0 || src >= s.nranks || dst < 0 || dst >= s.nranks) {
         throw Error("schedule cache: send endpoint out of range");
       }
-      op.bytes = dec.u64();
+      s.add_send(src, dst, dec.u64());
       const std::uint32_t nchunks = dec.u32();
       dec.expect_backing(nchunks, 4);
-      op.chunks.reserve(nchunks);
       for (std::uint32_t ci = 0; ci < nchunks; ++ci) {
         const int c = dec.i32();
         if (c < 0 || c >= s.num_chunks) {
           throw Error("schedule cache: chunk id out of range");
         }
-        op.chunks.push_back(c);
+        s.add_chunk(c);
       }
-      step.sends.push_back(std::move(op));
     }
-    s.steps.push_back(std::move(step));
   }
   return s;
 }

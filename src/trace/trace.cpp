@@ -1,10 +1,14 @@
 #include "hfast/trace/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "hfast/util/assert.hpp"
 
@@ -282,23 +286,45 @@ Trace Trace::load_text(std::istream& is) {
     if (magic != "hfast-trace" || version != "v1") {
       fail("bad header: " + line);
     }
-    try {
-      while (hs >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) continue;
-        const std::string key = kv.substr(0, eq);
-        const std::string val = kv.substr(eq + 1);
-        if (key == "nranks") nranks = std::stoi(val);
-        if (key == "events") nevents = std::stoull(val);
-        if (key == "regions") nregions = std::stoull(val);
+    // Strict: the whole value is a decimal integer in [0, max].
+    const auto field = [&](std::string_view key, std::string_view val,
+                           long long max) {
+      long long v = 0;
+      const auto [end, ec] =
+          std::from_chars(val.data(), val.data() + val.size(), v);
+      if (ec != std::errc{} || end != val.data() + val.size()) {
+        fail("unparseable header field: " + kv);
       }
-    } catch (const std::exception&) {
-      fail("unparseable header field: " + kv);
+      if (v < 0) fail("negative " + std::string(key));
+      if (v > max) {
+        fail("header field " + kv + " exceeds " + std::to_string(max));
+      }
+      return v;
+    };
+    while (hs >> kv) {
+      const auto eq = kv.find('=');
+      if (eq == std::string::npos) continue;
+      const std::string_view key = std::string_view(kv).substr(0, eq);
+      const std::string_view val = std::string_view(kv).substr(eq + 1);
+      if (key == "nranks") {
+        nranks = static_cast<int>(
+            field(key, val, std::numeric_limits<Rank>::max()));
+      }
+      if (key == "events") {
+        nevents = static_cast<std::size_t>(
+            field(key, val, std::numeric_limits<long long>::max()));
+      }
+      if (key == "regions") {
+        // Events index regions with a std::uint16_t.
+        nregions = static_cast<std::size_t>(
+            field(key, val, std::numeric_limits<std::uint16_t>::max() + 1));
+      }
     }
-    if (nranks < 0) fail("negative nranks");
   }
 
-  std::vector<std::string> names(nregions);
+  // Grown as region lines arrive, so a header that overstates the table
+  // fails on the missing line instead of allocating for it first.
+  std::vector<std::string> names;
   for (std::size_t i = 0; i < nregions; ++i) {
     ++line_no;
     if (!std::getline(is, line)) fail("truncated region table");
@@ -308,8 +334,10 @@ Trace Trace::load_text(std::istream& is) {
     if (!(ls >> word >> idx >> name) || word != "region" || idx >= nregions) {
       fail("bad region line: " + line);
     }
+    if (idx >= names.size()) names.resize(idx + 1);
     names[idx] = (name == "<global>") ? "" : name;
   }
+  names.resize(nregions);
 
   EventColumns events;
   // The header's event count steers the loop, not the allocation: cap the

@@ -33,11 +33,9 @@ class CollectiveExpander {
               : collective::resolve_schedule(options_.collective.schedule,
                                              call, nranks_, bytes, map);
       it->second.resize(static_cast<std::size_t>(nranks_));
-      for (const collective::Step& step : schedule.steps) {
-        for (const collective::SendOp& op : step.sends) {
-          it->second[static_cast<std::size_t>(op.src)].push_back(
-              {op.dst, op.bytes});
-        }
+      for (const collective::SendOp& op : schedule.sends) {
+        it->second[static_cast<std::size_t>(op.src)].push_back(
+            {op.dst, op.bytes});
       }
     }
     return it->second[static_cast<std::size_t>(rank)];

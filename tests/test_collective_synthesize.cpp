@@ -14,12 +14,15 @@
 ///     regression, the memo round-trip, the affordability fallback, a
 ///     golden table of schedules, costs and memo keys pinned across
 ///     builds, and the hop table's equivalence with its oracle.
+///     Plus the flat schedule buffer: refilling a buffer that held a large
+///     schedule gives exactly a fresh instantiation, for every canned
+///     family and parametric skeleton.
 ///   * CollectiveSynthFuzz — tampered schedules (dropped send, duplicated
 ///     (src, dst) per step, out-of-range chunk id, truncated step list)
 ///     are rejected by the validator with a diagnostic, whose full text is
 ///     pinned for one schedule per rule; hostile bytes are
-///     rejected by decode_schedule; a corrupt or semantically-invalid
-///     cache entry is a miss, never a schedule.
+///     rejected by decode_schedule; a corrupt, semantically-invalid or
+///     chunk-count-overrunning cache entry is a miss, never a schedule.
 ///   * SynthAcceptanceGrid — the PR acceptance matrix: (allreduce,
 ///     alltoall, allgather, bcast) x P in {8, 64, 256} x (torus, fattree,
 ///     hfast fabric): every cell validates and costs <= the auto
@@ -35,10 +38,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "collective_edit.hpp"
 #include "hfast/analysis/experiment.hpp"
 #include "hfast/collective/cost.hpp"
 #include "hfast/collective/generate.hpp"
@@ -61,7 +67,9 @@ using collective::CostParams;
 using collective::HopFn;
 using collective::Schedule;
 using collective::ScheduleKind;
-using collective::Step;
+using collective::tamper::edited;
+using collective::tamper::Step;
+using collective::tamper::Steps;
 using collective::SynthesisOptions;
 using collective::SynthesisResult;
 using mpisim::CallType;
@@ -284,8 +292,8 @@ Schedule synthesized_fixture() {
 
 TEST(CollectiveSynthFuzz, TruncatedStepListIsRejectedWithDiagnostic) {
   Schedule s = synthesized_fixture();
-  ASSERT_FALSE(s.steps.empty());
-  s.steps.pop_back();  // even a 1-step winner truncates to "nothing lands"
+  ASSERT_GT(s.num_steps(), 0u);
+  s.pop_step();  // even a 1-step winner truncates to "nothing lands"
   try {
     collective::validate_schedule(s);
     FAIL() << "validator accepted a truncated schedule";
@@ -297,9 +305,9 @@ TEST(CollectiveSynthFuzz, TruncatedStepListIsRejectedWithDiagnostic) {
 }
 
 TEST(CollectiveSynthFuzz, DroppedSendOpIsRejectedWithDiagnostic) {
-  Schedule s = synthesized_fixture();
-  ASSERT_FALSE(s.steps.back().sends.empty());
-  s.steps.back().sends.pop_back();
+  const Schedule fixture = synthesized_fixture();
+  ASSERT_FALSE(fixture.step(fixture.num_steps() - 1).empty());
+  const Schedule s = edited(fixture, [](Steps& st) { st.back().pop_back(); });
   try {
     collective::validate_schedule(s);
     FAIL() << "validator accepted a schedule with a dropped send";
@@ -309,9 +317,10 @@ TEST(CollectiveSynthFuzz, DroppedSendOpIsRejectedWithDiagnostic) {
 }
 
 TEST(CollectiveSynthFuzz, DuplicateOrderedPairInAStepIsRejected) {
-  Schedule s = synthesized_fixture();
-  ASSERT_FALSE(s.steps.front().sends.empty());
-  s.steps.front().sends.push_back(s.steps.front().sends.front());
+  const Schedule fixture = synthesized_fixture();
+  ASSERT_FALSE(fixture.step(0).empty());
+  const Schedule s = edited(
+      fixture, [](Steps& st) { st.front().push_back(st.front().front()); });
   try {
     collective::validate_schedule(s);
     FAIL() << "validator accepted duplicate (src, dst) within a step";
@@ -323,9 +332,11 @@ TEST(CollectiveSynthFuzz, DuplicateOrderedPairInAStepIsRejected) {
 }
 
 TEST(CollectiveSynthFuzz, OutOfRangeChunkIdIsRejected) {
-  Schedule s = synthesized_fixture();
-  ASSERT_FALSE(s.steps.front().sends.front().chunks.empty());
-  s.steps.front().sends.front().chunks.front() = s.num_chunks;
+  const Schedule fixture = synthesized_fixture();
+  ASSERT_NE(fixture.step(0).front().chunk_count, 0u);
+  const Schedule s = edited(fixture, [&](Steps& st) {
+    st.front().front().chunks.front() = fixture.num_chunks;
+  });
   try {
     collective::validate_schedule(s);
     FAIL() << "validator accepted an out-of-range chunk id";
@@ -355,9 +366,8 @@ TEST(CollectiveSynthFuzz, ValidatorDiagnosticsAreUnchanged) {
   // Full-text pins of the first violated rule for tampered canned
   // schedules. The structural cases also fix which rule wins when one
   // step breaks several: rules are checked send by send, in send order.
-  const auto with = [](Schedule s, auto&& tamper) {
-    tamper(s);
-    return verdict(s);
+  const auto with = [](const Schedule& s, auto&& tamper) {
+    return verdict(edited(s, tamper));
   };
   const Schedule ag = canned(ScheduleKind::kRing, CallType::kAllgather, 8);
   const Schedule ar = canned(ScheduleKind::kRing, CallType::kAllreduce, 8);
@@ -367,90 +377,89 @@ TEST(CollectiveSynthFuzz, ValidatorDiagnosticsAreUnchanged) {
   const Schedule bc = canned(ScheduleKind::kBinomial, CallType::kBcast, 8);
   // Three-rank schedules whose verdict turns on parallel-step semantics:
   // a send reads its source as it was before the step began.
-  const auto tiny = [](CallType call, std::vector<Step> steps) {
+  const auto tiny = [](CallType call, const Steps& steps) {
     Schedule s;
     s.call = call;
     s.algo = ScheduleKind::kBinomial;
     s.nranks = 3;
     s.payload = 8;
-    s.steps = std::move(steps);
-    return verdict(s);
+    return verdict(collective::tamper::packed(s, steps));
   };
   const std::pair<std::string, std::string> cases[] = {
-      {tiny(CallType::kBcast, {Step{{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}}),
+      {tiny(CallType::kBcast, {Step{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}),
        "collective schedule MPI_Bcast/binomial P=3 step 0: "
        "rank 1 sends chunk 0 it does not hold yet"},
-      {tiny(CallType::kBcast, {Step{{{0, 1, 8, {0}}}},
-                               Step{{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}}),
+      {tiny(CallType::kBcast, {Step{{0, 1, 8, {0}}},
+                               Step{{0, 1, 8, {0}}, {1, 2, 8, {0}}}}),
        "accepted"},
-      {tiny(CallType::kReduce, {Step{{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}}),
+      {tiny(CallType::kReduce, {Step{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}),
        "collective schedule MPI_Reduce/binomial P=3 step 1: "
        "after the last step the root's reduction misses contributions"},
-      {tiny(CallType::kReduce, {Step{{{2, 1, 8, {0}}}},
-                                Step{{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}}),
+      {tiny(CallType::kReduce, {Step{{2, 1, 8, {0}}},
+                                Step{{2, 1, 8, {0}}, {1, 0, 8, {0}}}}),
        "accepted"},
-      {with(ag, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+      {with(ag, [](Steps& s) { s.back().pop_back(); }),
        "collective schedule MPI_Allgather/ring P=8 step 7: "
        "after the last step rank 0 lacks rank 1's block"},
-      {with(ar, [](Schedule& s) { s.steps.pop_back(); }),
+      {with(ar, [](Steps& s) { s.pop_back(); }),
        "collective schedule MPI_Allreduce/ring P=8 step 13: "
        "after the last step rank 0's reduction misses contributions"},
       {with(ag,
-            [](Schedule& s) {
-              s.steps[0].sends.push_back(s.steps[0].sends.front());
+            [](Steps& s) {
+              s[0].push_back(s[0].front());
             }),
        "collective schedule MPI_Allgather/ring P=8 step 0: "
        "two sends on ordered pair 0 -> 1"},
       {with(scan,
-            [](Schedule& s) {
-              s.steps.back().sends.push_back({7, 0, 1024, {0}});
+            [](Steps& s) {
+              s.back().push_back({7, 0, 1024, {0}});
             }),
        "collective schedule MPI_Scan/rd P=8 step 3: "
        "after the last step rank 0's prefix is not exactly ranks [0, 0]"},
-      {with(a2a, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+      {with(a2a, [](Steps& s) { s.back().pop_back(); }),
        "collective schedule MPI_Alltoall/bruck P=8 step 3: "
        "after the last step block (4 -> 3) never arrived"},
-      {with(bc, [](Schedule& s) { s.steps.back().sends.pop_back(); }),
+      {with(bc, [](Steps& s) { s.back().pop_back(); }),
        "collective schedule MPI_Bcast/binomial P=8 step 3: "
        "after the last step rank 7 lacks the payload"},
-      {with(ag, [](Schedule& s) { s.steps[2].sends[3].dst = 8; }),
+      {with(ag, [](Steps& s) { s[2][3].dst = 8; }),
        "collective schedule MPI_Allgather/ring P=8 step 2: "
        "send endpoint (3 -> 8) outside [0, 8)"},
-      {with(ag, [](Schedule& s) { s.steps[2].sends[3].dst = 3; }),
+      {with(ag, [](Steps& s) { s[2][3].dst = 3; }),
        "collective schedule MPI_Allgather/ring P=8 step 2: "
        "self-send on rank 3"},
-      {with(ag, [](Schedule& s) { s.steps[1].sends[5].chunks.clear(); }),
+      {with(ag, [](Steps& s) { s[1][5].chunks.clear(); }),
        "collective schedule MPI_Allgather/ring P=8 step 1: "
        "send 5 -> 6 carries no chunks"},
-      {with(ag, [](Schedule& s) { s.steps[1].sends[5].chunks = {2, 8}; }),
+      {with(ag, [](Steps& s) { s[1][5].chunks = {2, 8}; }),
        "collective schedule MPI_Allgather/ring P=8 step 1: "
        "chunk id 8 outside [0, 8)"},
-      {with(ag, [](Schedule& s) { s.steps[1].sends[0].chunks = {1}; }),
+      {with(ag, [](Steps& s) { s[1][0].chunks = {1}; }),
        "collective schedule MPI_Allgather/ring P=8 step 1: "
        "rank 0 sends chunk 1 it does not hold yet"},
       // A later duplicate does not mask an earlier send's violation...
       {with(ag,
-            [](Schedule& s) {
-              s.steps[0].sends[2].chunks.clear();
-              s.steps[0].sends[6] = s.steps[0].sends[1];
+            [](Steps& s) {
+              s[0][2].chunks.clear();
+              s[0][6] = s[0][1];
             }),
        "collective schedule MPI_Allgather/ring P=8 step 0: "
        "send 2 -> 3 carries no chunks"},
       // ...and a duplicate is reported at its second occurrence, before
       // that send's own chunk checks and before any later send's.
       {with(ag,
-            [](Schedule& s) {
-              s.steps[0].sends[5] = s.steps[0].sends[4];
-              s.steps[0].sends[5].chunks = {99};
-              s.steps[0].sends[6].dst = 6;
+            [](Steps& s) {
+              s[0][5] = s[0][4];
+              s[0][5].chunks = {99};
+              s[0][6].dst = 6;
             }),
        "collective schedule MPI_Allgather/ring P=8 step 0: "
        "two sends on ordered pair 4 -> 5"},
       // Out-of-range endpoints are checked before the duplicate rule.
       {with(ag,
-            [](Schedule& s) {
-              s.steps[0].sends[3] = {0, 9, 1024, {0}};
-              s.steps[0].sends[4] = {1, 1, 1024, {1}};
+            [](Steps& s) {
+              s[0][3] = {0, 9, 1024, {0}};
+              s[0][4] = {1, 1, 1024, {1}};
             }),
        "collective schedule MPI_Allgather/ring P=8 step 0: "
        "send endpoint (0 -> 9) outside [0, 8)"},
@@ -518,12 +527,105 @@ TEST(CollectiveSynthFuzz, DecodableButInvalidCacheEntryIsAMiss) {
   // final step) must be a miss: load() re-proves every entry.
   store::ScheduleCache cache(fresh_cache_dir("invalid"));
   Schedule s = synthesized_fixture();
-  ASSERT_FALSE(s.steps.empty());
-  s.steps.pop_back();
+  ASSERT_GT(s.num_steps(), 0u);
+  s.pop_step();
   const std::uint64_t key = 0x1122334455667788ULL;
   cache.save(key, s);
   EXPECT_FALSE(cache.load(key).has_value());
   EXPECT_GE(cache.counters().corrupt_misses, 1u);
+}
+
+TEST(CollectiveSynthFuzz, ChunkCountOverrunningTheEntryIsAMiss) {
+  // A well-framed entry (valid CRC) whose first send claims more chunk ids
+  // than the payload holds must be a miss, not a read past the payload.
+  store::ScheduleCache cache(fresh_cache_dir("overrun"));
+  const std::uint64_t key = 0x0badc0de0badc0deULL;
+  cache.save(key, synthesized_fixture());
+  const auto path = cache.dir() / store::ScheduleCache::entry_filename(key);
+  std::vector<char> file(std::filesystem::file_size(path));
+  std::ifstream(path, std::ios::binary).read(file.data(), file.size());
+  // Frame header: magic, version, key, payload length (24 bytes). Payload:
+  // call, algo, nranks, payload, num_chunks, step count, then step 0's
+  // send count and its first send's src, dst and bytes (50 bytes in all).
+  constexpr std::size_t kHeader = 24;
+  constexpr std::size_t kFirstChunkCount = kHeader + 50;
+  ASSERT_GT(file.size(), kFirstChunkCount + 4);
+  std::memset(file.data() + kFirstChunkCount, 0xff, 4);  // 2^32 - 1 chunks
+  const std::size_t payload_len = file.size() - kHeader - 4;
+  const std::uint32_t crc = util::crc32(std::as_bytes(
+      std::span<const char>(file.data() + kHeader, payload_len)));
+  for (int i = 0; i < 4; ++i) {
+    file[kHeader + payload_len + static_cast<std::size_t>(i)] =
+        static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(file.data(), static_cast<std::streamsize>(file.size()));
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_GE(cache.counters().corrupt_misses, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// CollectiveSynthesize — the flat schedule buffer
+// ---------------------------------------------------------------------------
+
+static_assert(std::is_trivially_copyable_v<collective::SendOp>);
+
+TEST(CollectiveSynthesize, ReusedBufferMatchesFreshInstantiation) {
+  // The search instantiates every candidate into one buffer that keeps its
+  // capacity. Refilling a buffer that held a large schedule must give the
+  // bytes of a fresh instantiation: no stale step, send, chunk or header.
+  const CallType calls[] = {
+      CallType::kBarrier,   CallType::kBcast,     CallType::kReduce,
+      CallType::kAllreduce, CallType::kGather,    CallType::kAllgather,
+      CallType::kScatter,   CallType::kAlltoall,  CallType::kAlltoallv,
+      CallType::kReduceScatter, CallType::kScan,  CallType::kCommSplit};
+  Schedule buf;
+  const auto fill_large = [&buf] {
+    ASSERT_TRUE(collective::generate_into(buf, ScheduleKind::kBruck,
+                                          CallType::kAlltoall, 64, 4096));
+  };
+  for (const int n : {1, 2, 8, 64}) {
+    std::vector<int> nodes(static_cast<std::size_t>(n));
+    std::vector<int> order(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      nodes[static_cast<std::size_t>(r)] = r / 4;
+      // Root pinned, the rest reversed: a non-identity rank order.
+      order[static_cast<std::size_t>(r)] = r == 0 ? 0 : n - r;
+    }
+    for (const CallType call : calls) {
+      for (const ScheduleKind kind :
+           {ScheduleKind::kRing, ScheduleKind::kRecursiveDoubling,
+            ScheduleKind::kBinomial, ScheduleKind::kBruck,
+            ScheduleKind::kPairwise, ScheduleKind::kHierarchical}) {
+        SCOPED_TRACE(std::string(schedule_name(kind)) + "/" +
+                     std::string(mpisim::call_name(call)) + " P=" +
+                     std::to_string(n));
+        fill_large();
+        const bool made =
+            collective::generate_into(buf, kind, call, n, 512, &nodes);
+        const auto fresh =
+            collective::generate_schedule(kind, call, n, 512, &nodes);
+        ASSERT_EQ(made, fresh.has_value());
+        if (made) {
+          EXPECT_EQ(store::schedule_bytes(buf), store::schedule_bytes(*fresh));
+          EXPECT_EQ(buf, *fresh);  // the arena and offsets too
+        }
+      }
+      for (const collective::Skeleton& sk : collective::skeletons(call, n)) {
+        SCOPED_TRACE("skeleton " + std::to_string(sk.gen) + "/" +
+                     std::to_string(sk.param) + " " +
+                     std::string(mpisim::call_name(call)) + " P=" +
+                     std::to_string(n));
+        fill_large();
+        collective::instantiate(buf, sk, order, call, 512);
+        Schedule fresh;
+        collective::instantiate(fresh, sk, order, call, 512);
+        EXPECT_EQ(store::schedule_bytes(buf), store::schedule_bytes(fresh));
+        EXPECT_EQ(buf, fresh);
+        EXPECT_NO_THROW(collective::validate_schedule(buf));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -217,6 +217,24 @@ TEST(ParallelReplay, UnmatchedSendsStillCountedLikeSerial) {
   DirectNetwork net(fcn, link);
   const auto parallel = replay(t, net, {}, {.shards = 2});
   expect_identical(serial, parallel, "unmatched send");
+
+  // Many unmatched sends contending for the ring links into rank 0: the
+  // final flush must apply them in the serial order too.
+  std::vector<CommEvent> burst;
+  for (int k = 1; k <= 4; ++k) {
+    for (int r = 1; r < 4; ++r) burst.push_back(send(r, 0, 1000u * k * r));
+  }
+  const auto tb = make_trace(4, burst);
+  const topo::MeshTorus ring(topo::MeshTorus::balanced_dims(4, 1), true);
+  DirectNetwork serial_ring(ring, link);
+  const auto serial_burst = replay(tb, serial_ring);
+  EXPECT_EQ(serial_burst.messages, 12u);
+  for (const int shards : {2, 4}) {
+    DirectNetwork ring_net(ring, link);
+    expect_identical(serial_burst,
+                     replay(tb, ring_net, {}, {.shards = shards}),
+                     "unmatched burst, shards=" + std::to_string(shards));
+  }
 }
 
 TEST(ParallelReplay, StalledTraceThrows) {

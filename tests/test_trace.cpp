@@ -134,6 +134,15 @@ TEST(Trace, LoadRejectsMalformedFieldsWithLineNumbers) {
                     "negative nranks");
   expect_load_error("hfast-trace v1 nranks=zz events=0 regions=0\n", 1,
                     "unparseable header field");
+  // Header fields are whole, non-negative, range-checked integers.
+  expect_load_error("hfast-trace v1 nranks=4abc events=0 regions=0\n", 1,
+                    "nranks=4abc");
+  expect_load_error("hfast-trace v1 nranks=2 events=0 regions=-1\n", 1,
+                    "negative regions");
+  expect_load_error("hfast-trace v1 nranks=2 events=0 regions=2000000\n", 1,
+                    "regions=2000000");
+  expect_load_error("hfast-trace v1 nranks=2 events=-1 regions=0\n", 1,
+                    "negative events");
   expect_load_error(header + "not-a-region 0 x\n" + "0 0 0 0 1 100 0\n", 2,
                     "bad region line");
 }
