@@ -66,8 +66,8 @@ struct ReplayOptions {
   /// Rank shards (= threads, counting the calling thread, which runs shard
   /// 0 and the sequencer). 0 picks the hardware concurrency; any value is
   /// clamped to [1, nranks]. One shard — or a network with zero lookahead
-  /// (no link latency and zero send overhead) — runs the serial
-  /// priority-queue loop; more run the partitioned-clock sequencer.
+  /// (no link latency and zero send overhead) — runs the serial loop;
+  /// more run the partitioned-clock sequencer.
   int shards = 1;
 
   /// Bounded capacity of each worker shard's transfer submission queue.

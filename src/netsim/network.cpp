@@ -135,13 +135,14 @@ int DirectNetwork::build_route(int src, int dst, std::vector<int>& links) {
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     links.push_back(link_between(nodes[i], nodes[i + 1]));
   }
-  return 0;  // switch_hops() answers from the topology directly
-}
-
-int DirectNetwork::switch_hops(int src, int dst) const {
   // Each intermediate router plus the destination router makes a switching
   // decision; source injection does not.
   return topo_.distance(src, dst);
+}
+
+int DirectNetwork::switch_hops(int src, int dst) const {
+  if (const auto* e = routes_.find(route_key(src, dst))) return e->hops;
+  return topo_.distance(src, dst);  // not prewarmed: the const path recomputes
 }
 
 // --- FabricNetwork ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <string>
 #include <thread>
 
@@ -198,40 +197,30 @@ void prewarm_routes(const trace::Trace& trace, Network& net) {
   }
 }
 
-struct QueueEntry {
-  double clock;
-  int rank;
-  /// (clock, rank) lexicographic. Breaking equal-clock ties by rank pins
-  /// the schedule — and therefore every float accumulation order — to a
-  /// total order no stdlib heap layout can perturb, which is also the
-  /// order the sharded loop's sequencer reproduces.
-  bool operator>(const QueueEntry& o) const {
-    if (clock != o.clock) return clock > o.clock;
-    return rank > o.rank;
-  }
-};
-
-/// The serial loop: one event per dequeue, lowest (clock, rank) first,
-/// each cross-rank send sequenced the moment it is issued.
+/// The serial loop, driven by transfers. Each rank runs on its own until
+/// it issues a cross-rank send, blocks or finishes; the least pending send
+/// is sequenced next, and then only its sender, and the receiver if it
+/// woke, can move. This is the transfer order of an event-by-event loop
+/// over (clock, rank) (DESIGN.md has why), at one heap operation per
+/// transfer instead of per event.
 void run_serial(detail::ReplayState& state, Network& net) {
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  for (int r = 0; r < state.nranks; ++r) {
-    if (!state.ranks[static_cast<std::size_t>(r)].done()) pq.push({0.0, r});
-  }
-  const auto send = [&](const detail::PendingTransfer& t) {
-    if (state.sequence(net, t)) {
-      pq.push({state.ranks[static_cast<std::size_t>(t.dst)].clock, t.dst});
-    }
+  detail::TransferHeap sends;
+  const auto advance = [&](int r) {
+    const detail::RankState& rs = state.ranks[static_cast<std::size_t>(r)];
+    bool issued = false;
+    const auto submit = [&](const detail::PendingTransfer& t) {
+      sends.push(t);
+      issued = true;
+    };
+    while (!issued && !rs.blocked && !rs.done()) state.step(r, submit);
   };
-  while (!pq.empty()) {
-    const auto [clock, r] = pq.top();
-    pq.pop();
-    detail::RankState& rs = state.ranks[static_cast<std::size_t>(r)];
-    if (rs.blocked || rs.done() || clock != rs.clock) {
-      continue;  // stale queue entry
-    }
-    state.step(r, send);
-    if (!rs.blocked && !rs.done()) pq.push({rs.clock, r});
+  for (int r = 0; r < state.nranks; ++r) advance(r);
+  while (!sends.empty()) {
+    const detail::PendingTransfer t = sends.top();
+    sends.pop();
+    const bool woke = state.sequence(net, t);
+    advance(t.src);
+    if (woke) advance(t.dst);
   }
 }
 

@@ -4,13 +4,16 @@
 /// partitioned-clock sequencer (replay_parallel.cpp). The two are
 /// contractually bit-identical, so every rule they both apply lives here
 /// exactly once: the rank stepper (the only switch over EventKind), the
-/// channel table, and the transfer accounting and final reduction. The
-/// loops differ only in when a cross-rank send is sequenced — at once in
-/// the serial loop, after a conservative window in the sharded one.
+/// channel table, the heap of pending transfers, and the transfer
+/// accounting and final reduction. Both loops pop transfers off that heap
+/// in one order and differ only in how far they let ranks run ahead — one
+/// rank to its next send in the serial loop, whole shards to quiescence
+/// inside a conservative window in the sharded one.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <queue>
 #include <span>
 #include <vector>
 
@@ -111,21 +114,32 @@ struct PendingTransfer {
   std::uint64_t bytes = 0;
   std::uint64_t seq = 0;  ///< sender-local op position, for stable ties
 
-  /// The serial loop's transfer order: (dequeue clock, rank, op). The key
-  /// must be `issue`, not `start`: the serial priority queue orders sends
-  /// by pre-overhead clock, and clock -> clock + overhead is monotone but
-  /// not injective in floating point (adding the overhead can cross a
-  /// binade and collapse two clocks one ulp apart into the same start).
-  /// Sorting such a collapsed group by src would diverge from the serial
-  /// order against a stateful network. Ordering by `issue` refines the
-  /// start order, so the sequencer's window logic — whose safety argument
-  /// is about start times — is unaffected.
+  /// The order transfers reach the network: (issue clock, rank, op), the
+  /// order of an event-by-event loop that dequeues ranks by (clock, rank).
+  /// The key must be `issue`, not `start`: clock -> clock + overhead is
+  /// monotone but not injective in floating point (adding the overhead can
+  /// cross a binade and collapse two clocks one ulp apart into the same
+  /// start), and sorting such a collapsed group by src would reorder it
+  /// against a stateful network. Ordering by `issue` refines the start
+  /// order, so the sequencer's window logic — whose safety argument is
+  /// about start times — is unaffected.
   bool operator<(const PendingTransfer& o) const {
     if (issue != o.issue) return issue < o.issue;
     if (src != o.src) return src < o.src;
     return seq < o.seq;
   }
 };
+
+/// Transfers issued but not yet sequenced, least on top under
+/// PendingTransfer's order (std::priority_queue keeps the largest on top,
+/// hence `Later`). Both loops sequence what they pop off it.
+struct Later {
+  bool operator()(const PendingTransfer& a, const PendingTransfer& b) const {
+    return b < a;
+  }
+};
+using TransferHeap =
+    std::priority_queue<PendingTransfer, std::vector<PendingTransfer>, Later>;
 
 /// Everything one replay mutates, and the three steps both loops share.
 struct ReplayState {
@@ -142,10 +156,9 @@ struct ReplayState {
 
   /// Execute rank `self`'s next event. A receive on an empty channel
   /// blocks the rank instead (the arrival that fills the channel wakes
-  /// it). A cross-rank send is handed to `send` — the only statement the
-  /// two loops vary: the serial loop sequences it at once, the sharded
-  /// loop submits it. The sender's clock never depends on its own
-  /// transfer, so a shard can run ahead of the sequencer.
+  /// it). A cross-rank send is handed to `send`, which queues it for
+  /// sequencing. The sender's clock never depends on its own transfer, so
+  /// a rank can run ahead of the sequencer.
   template <typename Send>
   void step(int self, Send&& send) {
     RankState& rs = ranks[static_cast<std::size_t>(self)];

@@ -3,7 +3,6 @@
 /// thread, submitting cross-rank sends; the sequencer applies them in the
 /// serial loop's total order inside a conservative lookahead window.
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -165,13 +164,9 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     });
   }
 
-  // Transfers beyond past windows, a min-heap under PendingTransfer's
-  // order (std::*_heap keep the largest on top, hence `later`).
-  std::vector<PendingTransfer> withheld;
+  // Transfers beyond past windows.
+  TransferHeap withheld;
   std::vector<PendingTransfer> pending;
-  const auto later = [](const PendingTransfer& a, const PendingTransfer& b) {
-    return b < a;
-  };
   std::exception_ptr failure;
   for (;;) {
     // Run our own shard to quiescence, then collect every other shard's
@@ -189,10 +184,7 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     }
     if (failure) break;
 
-    for (const PendingTransfer& t : pending) {
-      withheld.push_back(t);
-      std::push_heap(withheld.begin(), withheld.end(), later);
-    }
+    for (const PendingTransfer& t : pending) withheld.push(t);
 
     // All ranks done: the remaining withheld transfers flush below. Nothing
     // in flight with a rank still waiting: a stall, which finish() reports.
@@ -208,11 +200,10 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
     // flags; the gate's mutex publishes those writes to the next round.
     // The heap pops in the serial order, and `start` never decreases along
     // it, so this applies exactly the transfers inside the window, in order.
-    const double window_end = withheld.front().start + lookahead;
-    while (!withheld.empty() && withheld.front().start < window_end) {
-      state.sequence(net, withheld.front());
-      std::pop_heap(withheld.begin(), withheld.end(), later);
-      withheld.pop_back();
+    const double window_end = withheld.top().start + lookahead;
+    while (!withheld.empty() && withheld.top().start < window_end) {
+      state.sequence(net, withheld.top());
+      withheld.pop();
     }
 
     for (auto& q : queues) q->reset_round();
@@ -225,8 +216,7 @@ void run_sharded(ReplayState& state, Network& net, int nshards,
 
   // Unmatched sends: every rank finished but their transfers still owe the
   // network (and the stats) their traversal, just as in the serial loop.
-  std::sort(withheld.begin(), withheld.end());
-  for (const PendingTransfer& t : withheld) state.sequence(net, t);
+  for (; !withheld.empty(); withheld.pop()) state.sequence(net, withheld.top());
 }
 
 }  // namespace hfast::netsim::detail

@@ -68,32 +68,37 @@ std::vector<Node> MeshTorus::neighbors(Node u) const {
 }
 
 int MeshTorus::distance(Node u, Node v) const {
-  const auto cu = coords(u);
-  const auto cv = coords(v);
+  check_node(u);
+  check_node(v);
   int dist = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    int delta = std::abs(cu[d] - cv[d]);
-    if (wrap_) delta = std::min(delta, dims_[d] - delta);
+  for (std::size_t d = dims_.size(); d-- > 0;) {  // last dimension fastest
+    const int k = dims_[d];
+    int delta = std::abs(u % k - v % k);
+    if (wrap_) delta = std::min(delta, k - delta);
     dist += delta;
+    u /= k;
+    v /= k;
   }
   return dist;
 }
 
 std::vector<Node> MeshTorus::route(Node u, Node v) const {
-  auto cur = coords(u);
-  const auto target = coords(v);
+  check_node(u);
+  check_node(v);
   std::vector<Node> path{u};
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    while (cur[d] != target[d]) {
-      int step;
-      const int fwd = (target[d] - cur[d] + dims_[d]) % dims_[d];
-      if (wrap_) {
-        step = fwd <= dims_[d] - fwd ? +1 : -1;
-      } else {
-        step = target[d] > cur[d] ? +1 : -1;
-      }
-      cur[d] = (cur[d] + step + dims_[d]) % dims_[d];
-      path.push_back(node_at(cur));
+  int stride = n_;
+  for (const int k : dims_) {
+    stride /= k;  // a step in this dimension: the product of later extents
+    const int from = u / stride % k;
+    const int to = v / stride % k;
+    // The direction is fixed per dimension: shorter way round on a torus.
+    const int fwd = (to - from + k) % k;
+    const int step = wrap_ ? (fwd <= k - fwd ? +1 : -1) : (to > from ? +1 : -1);
+    for (int c = from; c != to;) {
+      const int next = (c + step + k) % k;
+      u += (next - c) * stride;
+      c = next;
+      path.push_back(u);
     }
   }
   return path;

@@ -285,8 +285,8 @@ TEST(ParallelReplay, InvalidOptionsRejected) {
 }
 
 TEST(ParallelReplay, SerialResultByteStableAcrossRuns) {
-  // The (clock, rank) tie-break pins the serial schedule to a total order:
-  // repeated runs must agree exactly, not approximately.
+  // The (issue clock, rank, op) order pins the serial schedule to a total
+  // order: repeated runs must agree exactly, not approximately.
   const auto t = random_trace(24, 400, 31);
   const topo::MeshTorus torus({4, 3, 2}, true);
   const LinkParams link;

@@ -59,6 +59,41 @@ TEST(MeshTorus, DistanceMatchesRouteLength) {
   }
 }
 
+TEST(MeshTorus, RouteAndDistanceMatchACoordinateWalkOnEveryPair) {
+  // The coordinate-vector form of dimension-order routing: resolve
+  // dimension 0 first, stepping the shorter way round on a torus.
+  const auto walk = [](const MeshTorus& m, Node u, Node v) {
+    auto cur = m.coords(u);
+    const auto target = m.coords(v);
+    std::vector<Node> path{u};
+    for (std::size_t d = 0; d < cur.size(); ++d) {
+      const int k = m.dims()[d];
+      while (cur[d] != target[d]) {
+        const int fwd = (target[d] - cur[d] + k) % k;
+        const int step = m.is_torus() ? (fwd <= k - fwd ? 1 : -1)
+                                      : (target[d] > cur[d] ? 1 : -1);
+        cur[d] = (cur[d] + step + k) % k;
+        path.push_back(m.node_at(cur));
+      }
+    }
+    return path;
+  };
+  for (const auto& m :
+       {MeshTorus({4, 4, 4}, true), MeshTorus({8, 8, 8}, true),
+        MeshTorus({3, 1, 5}, false), MeshTorus({2, 2}, true)}) {
+    for (Node u = 0; u < m.num_nodes(); ++u) {
+      for (Node v = 0; v < m.num_nodes(); ++v) {
+        const auto expected = walk(m, u, v);
+        ASSERT_EQ(m.route(u, v), expected) << m.name() << " " << u << "->" << v;
+        ASSERT_EQ(m.distance(u, v), static_cast<int>(expected.size()) - 1)
+            << m.name() << " " << u << "->" << v;
+      }
+    }
+    EXPECT_THROW((void)m.route(0, m.num_nodes()), ContractViolation);
+    EXPECT_THROW((void)m.distance(-1, 0), ContractViolation);
+  }
+}
+
 TEST(MeshTorus, BalancedDims) {
   EXPECT_EQ(MeshTorus::balanced_dims(64, 3), (std::vector<int>{4, 4, 4}));
   EXPECT_EQ(MeshTorus::balanced_dims(256, 3), (std::vector<int>{8, 8, 4}));
