@@ -18,36 +18,20 @@
 /// `auto` and `synth` against each network's hop function, which is the
 /// whole point of the selector/search.
 ///
-/// Usage: collective_sweep [nranks] [--engine threads|fibers] [--threads N]
-///                         [--cores-per-node C] [--check]
-///                         [--schedule-cache DIR]
-///                         [--cache-dir DIR] [--no-cache] [--cache-verify]
-///   nranks            tasks per application (default 64)
-///   --threads         live-thread budget for the capture batch
-///   --cores-per-node  SMP node map fed to the hierarchical family and the
-///                     selector (default 4; 1 degenerates hierarchical to
-///                     the flat defaults)
-///   --schedule-cache  durable memo for the synth rows (store::ScheduleCache
-///                     directory); a second run loads every synthesized
-///                     schedule instead of re-searching
-///   --check           validate the lowering invariants and exit nonzero on
-///                     violation (the CI smoke contract):
-///                       * analytic lowering is the identity (same event
-///                         columns, zero expansion stats);
-///                       * every lowering schedule expands at least one
-///                         collective into P2P events;
-///                       * on every network, the serial and 4-shard
-///                         partitioned-clock replays of every lowered trace
-///                         agree bit-for-bit;
-///                       * per distinct (call, payload) signature and
-///                         network: the synthesized schedule passes the
-///                         chunk-algebra validator and its modeled cost is
-///                         <= the auto selector's pick under the same hop
-///                         function.
+/// --check validates the lowering invariants and exits nonzero on
+/// violation (the CI smoke contract):
+///   * analytic lowering is the identity (same event columns, zero
+///     expansion stats);
+///   * every lowering schedule expands at least one collective into P2P
+///     events;
+///   * on every network, the serial and 4-shard partitioned-clock replays
+///     of every lowered trace agree bit-for-bit;
+///   * per distinct (call, payload) signature and network: the synthesized
+///     schedule passes the chunk-algebra validator and its modeled cost is
+///     <= the auto selector's pick under the same hop function.
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -155,231 +139,230 @@ int main(int argc, char** argv) {
   mpisim::EngineKind engine = mpisim::EngineKind::kFibers;
   store::CacheCli cache;
   std::string schedule_cache_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (cache.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.thread_budget = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = mpisim::parse_engine(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cores-per-node") == 0 && i + 1 < argc) {
-      cores_per_node = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--schedule-cache") == 0 && i + 1 < argc) {
-      schedule_cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      nranks = std::atoi(argv[i]);
+  store::Cli cli("collective_sweep",
+                 "Every collective schedule family on the six paper apps, "
+                 "replayed on FCN,\ntorus, fat-tree and the provisioned "
+                 "HFAST fabric.");
+  cli.ranks(nranks, "tasks per application (default 64)")
+      .engine(engine)
+      .threads(opts.thread_budget)
+      .option("--cores-per-node", cores_per_node, 1, store::Cli::kMaxCount,
+              "C",
+              "SMP node map fed to the hierarchical family and the selector "
+              "(default 4; 1 degenerates hierarchical to the flat defaults)")
+      .option("--schedule-cache", schedule_cache_dir, "DIR",
+              "durable memo for the synth rows; a second run loads every "
+              "synthesized schedule instead of re-searching")
+      .flag("--check", check,
+            "validate the lowering invariants; exit 1 on violation");
+  cache.bind(cli);
+  return cli.run(argc, argv, [&] {
+    const auto cache_store = cache.open(std::cerr);
+    opts.result_store = cache_store.get();
+    std::unique_ptr<store::ScheduleCache> sched_cache;
+    if (!schedule_cache_dir.empty()) {
+      sched_cache = std::make_unique<store::ScheduleCache>(schedule_cache_dir);
     }
-  }
-  const auto cache_store = cache.open(std::cerr);
-  opts.result_store = cache_store.get();
-  std::unique_ptr<store::ScheduleCache> sched_cache;
-  if (!schedule_cache_dir.empty()) {
-    sched_cache = std::make_unique<store::ScheduleCache>(schedule_cache_dir);
-  }
 
-  const std::vector<std::string> kApps{"cactus",  "gtc",   "lbmhd",
-                                       "superlu", "pmemd", "paratec"};
+    const std::vector<std::string> kApps{"cactus",  "gtc",   "lbmhd",
+                                         "superlu", "pmemd", "paratec"};
 
-  std::vector<analysis::ExperimentConfig> configs;
-  std::vector<std::string> names;
-  for (const std::string& app : kApps) {
-    if (!apps::valid_concurrency(apps::find(app), nranks)) {
-      std::cout << app << ": skipped (P=" << nranks << " unsupported)\n";
-      continue;
+    std::vector<analysis::ExperimentConfig> configs;
+    std::vector<std::string> names;
+    for (const std::string& app : kApps) {
+      if (!apps::valid_concurrency(apps::find(app), nranks)) {
+        std::cout << app << ": skipped (P=" << nranks << " unsupported)\n";
+        continue;
+      }
+      analysis::ExperimentConfig cfg;
+      cfg.app = app;
+      cfg.nranks = nranks;
+      cfg.engine = engine;
+      cfg.capture_trace = true;
+      configs.push_back(cfg);
+      names.push_back(app);
     }
-    analysis::ExperimentConfig cfg;
-    cfg.app = app;
-    cfg.nranks = nranks;
-    cfg.engine = engine;
-    cfg.capture_trace = true;
-    configs.push_back(cfg);
-    names.push_back(app);
-  }
 
-  const analysis::BatchRunner runner(opts);
-  const auto batch = runner.run(configs);
-  for (const auto& e : batch.errors) {
-    std::cerr << "experiment failed: " << e.job << ": " << e.message << "\n";
-  }
-  if (!batch.ok()) return EXIT_FAILURE;
+    const analysis::BatchRunner runner(opts);
+    const auto batch = runner.run(configs);
+    if (!store::CacheCli::report_failures(std::cerr, batch)) {
+      return EXIT_FAILURE;
+    }
 
-  int failures = 0;
-  const auto fail = [&failures](const std::string& what) {
-    std::cerr << "CHECK FAILED: " << what << "\n";
-    ++failures;
-  };
+    int failures = 0;
+    const auto fail = [&failures](const std::string& what) {
+      std::cerr << "CHECK FAILED: " << what << "\n";
+      ++failures;
+    };
 
-  // Lowering schedules in sweep order: everything but the analytic baseline
-  // (which is row 0 of each app's group) and with `auto` last.
-  std::vector<collective::ScheduleKind> kinds;
-  for (collective::ScheduleKind k : collective::all_schedule_kinds()) {
-    if (k != collective::ScheduleKind::kAnalytic) kinds.push_back(k);
-  }
+    // Lowering schedules in sweep order: everything but the analytic baseline
+    // (which is row 0 of each app's group) and with `auto` last.
+    std::vector<collective::ScheduleKind> kinds;
+    for (collective::ScheduleKind k : collective::all_schedule_kinds()) {
+      if (k != collective::ScheduleKind::kAnalytic) kinds.push_back(k);
+    }
 
-  std::vector<int> node_of_rank;
-  if (cores_per_node > 1) {
-    node_of_rank.resize(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) node_of_rank[static_cast<std::size_t>(r)] =
-        r / cores_per_node;
-  }
-
-  util::Table table({"app", "schedule", "+p2p events", "+bytes", "TDC@2k",
-                     "dTDC", "fcn ms", "d%", "torus ms", "d%", "fattree ms",
-                     "d%", "hfast ms", "d%"});
-
-  for (std::size_t a = 0; a < names.size(); ++a) {
-    const trace::Trace& t = batch.results[a]->trace;
-    const AppNetworks nets = build_networks(t);
-
-    if (check) {
-      collective::LowerOptions identity;  // default config: kAnalytic
-      const auto lowered = collective::lower_trace(t, identity);
-      if (lowered.stats.p2p_events != 0 || !(lowered.trace.events() ==
-                                             t.events())) {
-        fail(names[a] + ": analytic lowering is not the identity");
+    std::vector<int> node_of_rank;
+    if (cores_per_node > 1) {
+      node_of_rank.resize(static_cast<std::size_t>(nranks));
+      for (int r = 0; r < nranks; ++r) {
+        node_of_rank[static_cast<std::size_t>(r)] = r / cores_per_node;
       }
     }
 
-    // Baseline: the analytic replay of the original trace.
-    const graph::TdcStats base_tdc = graph::tdc(p2p_graph(t),
-                                                graph::kBdpCutoffBytes);
-    std::vector<double> base_ms;
-    table.row().add(names[a]).add("analytic").add(std::uint64_t{0})
-        .add(std::uint64_t{0}).add(base_tdc.max).add(0);
-    for (const auto& net : nets.nets) {
-      const auto r = netsim::replay(t, *net);
-      base_ms.push_back(r.makespan_s);
-      table.add(r.makespan_s * 1e3, 3).add("-");
+    util::Table table({"app", "schedule", "+p2p events", "+bytes", "TDC@2k",
+                       "dTDC", "fcn ms", "d%", "torus ms", "d%", "fattree ms",
+                       "d%", "hfast ms", "d%"});
+
+    for (std::size_t a = 0; a < names.size(); ++a) {
+      const trace::Trace& t = batch.results[a]->trace;
+      const AppNetworks nets = build_networks(t);
+
       if (check) {
-        const auto par = netsim::replay(t, *net, {}, {.shards = 4});
-        if (!(r == par)) {
-          fail(names[a] + " analytic on " + net->name() +
-               ": serial/parallel parity");
+        collective::LowerOptions identity;  // default config: kAnalytic
+        const auto lowered = collective::lower_trace(t, identity);
+        if (lowered.stats.p2p_events != 0 || !(lowered.trace.events() ==
+                                               t.events())) {
+          fail(names[a] + ": analytic lowering is not the identity");
         }
       }
-    }
 
-    if (check) {
-      // Synth contract per distinct (call, payload) signature and network:
-      // the synthesized schedule proves out under the chunk-algebra
-      // validator, and its modeled cost never exceeds the auto selector's
-      // pick under the same hop function.
-      const auto sigs = collective_signatures(t);
-      for (std::size_t ni = 0; ni < nets.nets.size(); ++ni) {
-        netsim::Network& net = *nets.nets[ni];
-        collective::SynthesisOptions sopts;
-        sopts.node_of_rank = node_of_rank;
-        sopts.hops = [&net](int x, int y) {
-          net.prewarm_route(x, y);
-          return net.switch_hops(x, y);
-        };
-        for (const auto& [call, payload] : sigs) {
-          const auto synth =
-              collective::synthesize(call, t.nranks(), payload, sopts);
-          const std::string cell = names[a] + " " +
-                                   std::string(mpisim::call_name(call)) +
-                                   "/" + std::to_string(payload) + "B on " +
-                                   net.name();
-          try {
-            collective::validate_schedule(synth.schedule);
-          } catch (const std::exception& e) {
-            fail(cell + ": synthesized schedule invalid: " + e.what());
-          }
-          if (synth.cost > synth.auto_cost) {
-            fail(cell + ": synth cost " + std::to_string(synth.cost) +
-                 " exceeds auto cost " + std::to_string(synth.auto_cost));
+      // Baseline: the analytic replay of the original trace.
+      const graph::TdcStats base_tdc = graph::tdc(p2p_graph(t),
+                                                  graph::kBdpCutoffBytes);
+      std::vector<double> base_ms;
+      table.row().add(names[a]).add("analytic").add(std::uint64_t{0})
+          .add(std::uint64_t{0}).add(base_tdc.max).add(0);
+      for (const auto& net : nets.nets) {
+        const auto r = netsim::replay(t, *net);
+        base_ms.push_back(r.makespan_s);
+        table.add(r.makespan_s * 1e3, 3).add("-");
+        if (check) {
+          const auto par = netsim::replay(t, *net, {}, {.shards = 4});
+          if (!(r == par)) {
+            fail(names[a] + " analytic on " + net->name() +
+                 ": serial/parallel parity");
           }
         }
       }
-    }
 
-    for (collective::ScheduleKind kind : kinds) {
-      collective::LowerOptions lopts;
-      lopts.config.schedule = kind;
-      lopts.node_of_rank = node_of_rank;
-      // Topology-blind lowering for the stats/TDC columns (and the replay
-      // of every concrete family — their schedules don't read the network).
-      const auto lowered = collective::lower_trace(t, lopts);
-      if (check && lowered.stats.p2p_events == 0) {
-        fail(names[a] + " [" +
-             std::string(collective::schedule_name(kind)) +
-             "]: lowering expanded nothing");
-      }
-      const graph::TdcStats tdc = graph::tdc(p2p_graph(lowered.trace),
-                                             graph::kBdpCutoffBytes);
-      table.row().add(names[a]).add(
-          std::string(collective::schedule_name(kind)));
-      table.add(lowered.stats.p2p_events).add(lowered.stats.bytes)
-          .add(tdc.max).add(tdc.max - base_tdc.max);
-
-      for (std::size_t ni = 0; ni < nets.nets.size(); ++ni) {
-        netsim::Network& net = *nets.nets[ni];
-        const trace::Trace* replayed = &lowered.trace;
-        collective::LowerResult per_net;
-        if (kind == collective::ScheduleKind::kAuto ||
-            kind == collective::ScheduleKind::kSynth) {
-          // The selector's (and the synthesizer's) output depends on the
-          // topology: re-lower with this network's hop function.
-          collective::LowerOptions aopts = lopts;
-          aopts.hops = [&net](int x, int y) {
+      if (check) {
+        // Synth contract per distinct (call, payload) signature and network:
+        // the synthesized schedule proves out under the chunk-algebra
+        // validator, and its modeled cost never exceeds the auto selector's
+        // pick under the same hop function.
+        const auto sigs = collective_signatures(t);
+        for (std::size_t ni = 0; ni < nets.nets.size(); ++ni) {
+          netsim::Network& net = *nets.nets[ni];
+          collective::SynthesisOptions sopts;
+          sopts.node_of_rank = node_of_rank;
+          sopts.hops = [&net](int x, int y) {
             net.prewarm_route(x, y);
             return net.switch_hops(x, y);
           };
-          if (kind == collective::ScheduleKind::kSynth) {
-            aopts.synth_memo = sched_cache.get();
+          for (const auto& [call, payload] : sigs) {
+            const auto synth =
+                collective::synthesize(call, t.nranks(), payload, sopts);
+            const std::string cell = names[a] + " " +
+                                     std::string(mpisim::call_name(call)) +
+                                     "/" + std::to_string(payload) + "B on " +
+                                     net.name();
+            try {
+              collective::validate_schedule(synth.schedule);
+            } catch (const std::exception& e) {
+              fail(cell + ": synthesized schedule invalid: " + e.what());
+            }
+            if (synth.cost > synth.auto_cost) {
+              fail(cell + ": synth cost " + std::to_string(synth.cost) +
+                   " exceeds auto cost " + std::to_string(synth.auto_cost));
+            }
           }
-          per_net = collective::lower_trace(t, aopts);
-          replayed = &per_net.trace;
         }
-        const auto r = netsim::replay(*replayed, net);
-        table.add(r.makespan_s * 1e3, 3)
-            .add((r.makespan_s / base_ms[ni] - 1.0) * 100.0, 1);
-        if (check) {
-          const auto par =
-              netsim::replay(*replayed, net, {}, {.shards = 4});
-          if (!(r == par)) {
-            fail(names[a] + " [" +
-                 std::string(collective::schedule_name(kind)) + "] on " +
-                 net.name() + ": serial/parallel parity");
+      }
+
+      for (collective::ScheduleKind kind : kinds) {
+        collective::LowerOptions lopts;
+        lopts.config.schedule = kind;
+        lopts.node_of_rank = node_of_rank;
+        // Topology-blind lowering for the stats/TDC columns (and the replay
+        // of every concrete family — their schedules don't read the network).
+        const auto lowered = collective::lower_trace(t, lopts);
+        if (check && lowered.stats.p2p_events == 0) {
+          fail(names[a] + " [" +
+               std::string(collective::schedule_name(kind)) +
+               "]: lowering expanded nothing");
+        }
+        const graph::TdcStats tdc = graph::tdc(p2p_graph(lowered.trace),
+                                               graph::kBdpCutoffBytes);
+        table.row().add(names[a]).add(
+            std::string(collective::schedule_name(kind)));
+        table.add(lowered.stats.p2p_events).add(lowered.stats.bytes)
+            .add(tdc.max).add(tdc.max - base_tdc.max);
+
+        for (std::size_t ni = 0; ni < nets.nets.size(); ++ni) {
+          netsim::Network& net = *nets.nets[ni];
+          const trace::Trace* replayed = &lowered.trace;
+          collective::LowerResult per_net;
+          if (kind == collective::ScheduleKind::kAuto ||
+              kind == collective::ScheduleKind::kSynth) {
+            // The selector's (and the synthesizer's) output depends on the
+            // topology: re-lower with this network's hop function.
+            collective::LowerOptions aopts = lopts;
+            aopts.hops = [&net](int x, int y) {
+              net.prewarm_route(x, y);
+              return net.switch_hops(x, y);
+            };
+            if (kind == collective::ScheduleKind::kSynth) {
+              aopts.synth_memo = sched_cache.get();
+            }
+            per_net = collective::lower_trace(t, aopts);
+            replayed = &per_net.trace;
+          }
+          const auto r = netsim::replay(*replayed, net);
+          table.add(r.makespan_s * 1e3, 3)
+              .add((r.makespan_s / base_ms[ni] - 1.0) * 100.0, 1);
+          if (check) {
+            const auto par =
+                netsim::replay(*replayed, net, {}, {.shards = 4});
+            if (!(r == par)) {
+              fail(names[a] + " [" +
+                   std::string(collective::schedule_name(kind)) + "] on " +
+                   net.name() + ": serial/parallel parity");
+            }
           }
         }
       }
     }
-  }
 
-  util::print_banner(
-      std::cout, "Collective lowering sweep @ P=" + std::to_string(nranks) +
-                     ", " + std::to_string(cores_per_node) +
-                     " cores/node: schedule x topology");
-  table.print(std::cout);
-  std::cout << "\nd% is replay-makespan change vs the analytic baseline on "
-               "the same network;\ndTDC is max-TDC growth of the 2 KB-cutoff "
-               "communication graph once collective\ntraffic rides the "
-               "circuits. `auto` and `synth` re-lower per network via its "
-               "hop\nfunction (synth searches the schedule IR, never worse "
-               "than auto's pick).\n";
-  if (sched_cache) {
-    const store::CacheCounters sc = sched_cache->counters();
-    std::cout << "schedule cache: " << sc.hits << " hits, " << sc.misses
-              << " misses (" << sc.corrupt_misses << " corrupt), "
-              << sc.stores << " stores\n";
-  }
-  std::cout << "batch: " << names.size() << " captures in "
-            << batch.wall_seconds << " s under a " << runner.thread_budget()
-            << "-thread budget\n";
-  if (cache_store != nullptr) {
-    std::cout << "batch cache: " << batch.cache.hits << " hits, "
-              << batch.cache.misses << " misses, " << batch.cache.stores
-              << " stored\n";
-    store::CacheCli::report(std::cerr, cache_store.get());
-  }
+    util::print_banner(
+        std::cout, "Collective lowering sweep @ P=" + std::to_string(nranks) +
+                       ", " + std::to_string(cores_per_node) +
+                       " cores/node: schedule x topology");
+    table.print(std::cout);
+    std::cout << "\nd% is replay-makespan change vs the analytic baseline on "
+                 "the same network;\ndTDC is max-TDC growth of the 2 KB-cutoff "
+                 "communication graph once collective\ntraffic rides the "
+                 "circuits. `auto` and `synth` re-lower per network via its "
+                 "hop\nfunction (synth searches the schedule IR, never worse "
+                 "than auto's pick).\n";
+    if (sched_cache) {
+      const store::CacheCounters sc = sched_cache->counters();
+      std::cout << "schedule cache: " << sc.hits << " hits, " << sc.misses
+                << " misses (" << sc.corrupt_misses << " corrupt), "
+                << sc.stores << " stores\n";
+    }
+    std::cout << "batch: " << names.size() << " captures in "
+              << batch.wall_seconds << " s under a " << runner.thread_budget()
+              << "-thread budget\n";
+    store::CacheCli::report_batch(std::cout, std::cerr, batch,
+                                  cache_store.get());
 
-  if (!check) return 0;
-  if (failures != 0) {
-    std::cerr << failures << " invariant(s) violated\n";
-    return EXIT_FAILURE;
-  }
-  std::cout << "check: all collective-lowering invariants hold\n";
-  return 0;
+    if (!check) return 0;
+    if (failures != 0) {
+      std::cerr << failures << " invariant(s) violated\n";
+      return EXIT_FAILURE;
+    }
+    std::cout << "check: all collective-lowering invariants hold\n";
+    return 0;
+  });
 }

@@ -5,6 +5,7 @@
 /// packet-switch hops. This mechanizes the paper's §2.3 latency argument:
 /// HFAST routes cross 1-2 packet blocks where a large fat-tree crosses
 /// 2L-1 layers, while a torus pays dilation for patterns that do not embed.
+/// Traces come from the fiber engine, so every run prints the same table.
 
 #include <iostream>
 
@@ -30,7 +31,11 @@ int main() {
 
   for (const char* app :
        {"cactus", "gtc", "lbmhd", "superlu", "pmemd", "paratec"}) {
-    const auto r = analysis::run_experiment(app, kRanks);
+    analysis::ExperimentConfig cfg;
+    cfg.app = app;
+    cfg.nranks = kRanks;
+    cfg.engine = mpisim::EngineKind::kFibers;
+    const auto r = analysis::run_experiment(cfg);
     const auto steady = r.trace.filter_region(apps::kSteadyRegion);
 
     const auto prov = core::provision_greedy(r.comm_graph);
@@ -41,9 +46,6 @@ int main() {
     const topo::FatTree ft(kRanks, 16);
     netsim::FatTreeNetwork ft_net(ft, link);
 
-    struct Entry {
-      netsim::Network* net;
-    };
     for (netsim::Network* net :
          {static_cast<netsim::Network*>(&hfast_net),
           static_cast<netsim::Network*>(&torus_net),

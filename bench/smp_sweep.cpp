@@ -6,25 +6,20 @@
 /// all-to-all keeps node-level TDC = nodes-1 at every aggregation, so SMP
 /// packing cannot rescue fully-connected codes).
 ///
-/// Usage: smp_sweep [nranks] [--engine threads|fibers] [--threads N]
-///                  [--check] [--cache-dir DIR] [--no-cache] [--cache-verify]
-///   nranks     tasks per application (default 64)
-///   --threads  live-thread budget for the batch engine
-///   --check    validate the paper-reproduction invariants and exit
-///              nonzero on violation (the CI smoke contract):
-///                * cactus localizes a nonzero byte fraction at 2+ cores
-///                  and strictly more under affinity packing;
-///                * the block pool never grows as cores per node grow
-///                  (same packing, same app);
-///                * pmemd's node graph stays fully connected: node TDC =
-///                  nodes - 1 at every aggregation level.
+/// --check validates the paper-reproduction invariants and exits nonzero
+/// on violation (the CI smoke contract):
+///   * cactus localizes a nonzero byte fraction at 2+ cores and strictly
+///     more under affinity packing;
+///   * the block pool never grows as cores per node grow (same packing,
+///     same app);
+///   * pmemd's node graph stays fully connected: node TDC = nodes - 1 at
+///     every aggregation level.
 ///
 /// Every (app, cores, packing) cell is an independent ExperimentConfig, so
 /// the sweep fans out under BatchRunner and persists per-cell in the
 /// durable store — a killed sweep resumes instead of recomputing.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <tuple>
@@ -42,142 +37,137 @@ int main(int argc, char** argv) {
   analysis::BatchOptions opts;
   mpisim::EngineKind engine = mpisim::EngineKind::kThreads;
   store::CacheCli cache;
-  for (int i = 1; i < argc; ++i) {
-    if (cache.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.thread_budget = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = mpisim::parse_engine(argv[++i]);
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      nranks = std::atoi(argv[i]);
-    }
-  }
-  const auto cache_store = cache.open(std::cerr);
-  opts.result_store = cache_store.get();
+  store::Cli cli("smp_sweep",
+                 "SMP provisioning sweep of the six paper apps over cores "
+                 "per node.");
+  cli.ranks(nranks, "tasks per application (default 64)")
+      .engine(engine)
+      .threads(opts.thread_budget)
+      .flag("--check", check,
+            "validate the paper-reproduction invariants; exit 1 on "
+            "violation");
+  cache.bind(cli);
+  return cli.run(argc, argv, [&] {
+    const auto cache_store = cache.open(std::cerr);
+    opts.result_store = cache_store.get();
 
-  const std::vector<std::string> kApps{"cactus", "gtc",   "lbmhd",
-                                       "superlu", "pmemd", "paratec"};
-  const std::vector<int> kCores{1, 2, 4, 8};
+    const std::vector<std::string> kApps{"cactus", "gtc",   "lbmhd",
+                                         "superlu", "pmemd", "paratec"};
+    const std::vector<int> kCores{1, 2, 4, 8};
 
-  std::vector<analysis::ExperimentConfig> configs;
-  for (const std::string& app : kApps) {
-    if (!apps::valid_concurrency(apps::find(app), nranks)) {
-      std::cout << app << ": skipped (P=" << nranks << " unsupported)\n";
-      continue;
-    }
-    for (int cores : kCores) {
-      for (core::SmpPacking packing :
-           {core::SmpPacking::kRankOrder, core::SmpPacking::kAffinity}) {
-        // At one core per node every packing is the identity; keep only
-        // the rank-order row as the per-task baseline.
-        if (cores == 1 && packing != core::SmpPacking::kRankOrder) continue;
-        analysis::ExperimentConfig cfg;
-        cfg.app = app;
-        cfg.nranks = nranks;
-        cfg.engine = engine;
-        cfg.capture_trace = false;
-        cfg.smp = {cores, packing};
-        configs.push_back(cfg);
+    std::vector<analysis::ExperimentConfig> configs;
+    for (const std::string& app : kApps) {
+      if (!apps::valid_concurrency(apps::find(app), nranks)) {
+        std::cout << app << ": skipped (P=" << nranks << " unsupported)\n";
+        continue;
+      }
+      for (int cores : kCores) {
+        for (core::SmpPacking packing :
+             {core::SmpPacking::kRankOrder, core::SmpPacking::kAffinity}) {
+          // At one core per node every packing is the identity; keep only
+          // the rank-order row as the per-task baseline.
+          if (cores == 1 && packing != core::SmpPacking::kRankOrder) continue;
+          analysis::ExperimentConfig cfg;
+          cfg.app = app;
+          cfg.nranks = nranks;
+          cfg.engine = engine;
+          cfg.capture_trace = false;
+          cfg.smp = {cores, packing};
+          configs.push_back(cfg);
+        }
       }
     }
-  }
 
-  const analysis::BatchRunner runner(opts);
-  const auto batch = runner.run(configs);
-  for (const auto& e : batch.errors) {
-    std::cerr << "experiment failed: " << e.job << ": " << e.message << "\n";
-  }
-  if (!batch.ok()) return EXIT_FAILURE;
-
-  std::vector<analysis::SmpSweepRow> rows;
-  rows.reserve(configs.size());
-  for (const auto& r : batch.results) {
-    rows.push_back(analysis::smp_sweep_row(*r));
-  }
-
-  util::print_banner(
-      std::cout, "SMP provisioning sweep @ P=" + std::to_string(nranks) +
-                     ": backplane absorption and block-pool shrinkage");
-  analysis::render_smp_sweep(rows).print(std::cout);
-  std::cout << "\nStencil codes (cactus, lbmhd) localize neighbor traffic on "
-               "the backplane and\nshed switch blocks as cores per node grow; "
-               "pmemd's all-to-all keeps node TDC\n= nodes-1 at every "
-               "aggregation (the paper's case-iv finding) — SMP packing\n"
-               "cannot rescue fully-connected codes.\n";
-  std::cout << "batch: " << configs.size() << " experiments in "
-            << batch.wall_seconds << " s under a " << runner.thread_budget()
-            << "-thread budget\n";
-  if (cache_store != nullptr) {
-    std::cout << "batch cache: " << batch.cache.hits << " hits, "
-              << batch.cache.misses << " misses, " << batch.cache.stores
-              << " stored\n";
-    store::CacheCli::report(std::cerr, cache_store.get());
-  }
-
-  if (!check) return 0;
-
-  // --- paper-reproduction invariants (the CI smoke contract) ---------------
-  int failures = 0;
-  const auto fail = [&failures](const std::string& what) {
-    std::cerr << "CHECK FAILED: " << what << "\n";
-    ++failures;
-  };
-
-  // Index rows by (app, cores, packing) for the cross-row assertions.
-  std::map<std::tuple<std::string, int, core::SmpPacking>,
-           const analysis::SmpSweepRow*>
-      by_cell;
-  for (const auto& row : rows) {
-    by_cell[{row.code, row.cores_per_node, row.packing}] = &row;
-  }
-  const auto cell = [&](const std::string& app, int cores,
-                        core::SmpPacking packing) {
-    // cores = 1 has only the rank-order baseline row.
-    const auto it = by_cell.find(
-        {app, cores, cores == 1 ? core::SmpPacking::kRankOrder : packing});
-    return it == by_cell.end() ? nullptr : it->second;
-  };
-
-  for (const auto& row : rows) {
-    // Nonzero backplane absorption for the stencil headline code.
-    if (row.code == "cactus" && row.cores_per_node > 1 &&
-        row.backplane_bytes == 0) {
-      fail("cactus absorbs no backplane traffic at " +
-           std::to_string(row.cores_per_node) + " cores/node");
+    const analysis::BatchRunner runner(opts);
+    const auto batch = runner.run(configs);
+    if (!store::CacheCli::report_failures(std::cerr, batch)) {
+      return EXIT_FAILURE;
     }
-    // Affinity never localizes fewer bytes than rank order.
-    if (row.packing == core::SmpPacking::kAffinity) {
-      const auto* naive =
-          cell(row.code, row.cores_per_node, core::SmpPacking::kRankOrder);
-      if (naive != nullptr && row.backplane_bytes < naive->backplane_bytes) {
-        fail(row.code + " affinity localizes fewer bytes than rank order at " +
+
+    std::vector<analysis::SmpSweepRow> rows;
+    rows.reserve(configs.size());
+    for (const auto& r : batch.results) {
+      rows.push_back(analysis::smp_sweep_row(*r));
+    }
+
+    util::print_banner(
+        std::cout, "SMP provisioning sweep @ P=" + std::to_string(nranks) +
+                       ": backplane absorption and block-pool shrinkage");
+    analysis::render_smp_sweep(rows).print(std::cout);
+    std::cout << "\nStencil codes (cactus, lbmhd) localize neighbor traffic "
+                 "on the backplane and\nshed switch blocks as cores per node "
+                 "grow; pmemd's all-to-all keeps node TDC\n= nodes-1 at every "
+                 "aggregation (the paper's case-iv finding) — SMP packing\n"
+                 "cannot rescue fully-connected codes.\n";
+    std::cout << "batch: " << configs.size() << " experiments in "
+              << batch.wall_seconds << " s under a " << runner.thread_budget()
+              << "-thread budget\n";
+    store::CacheCli::report_batch(std::cout, std::cerr, batch,
+                                  cache_store.get());
+
+    if (!check) return 0;
+
+    // --- paper-reproduction invariants (the CI smoke contract) -------------
+    int failures = 0;
+    const auto fail = [&failures](const std::string& what) {
+      std::cerr << "CHECK FAILED: " << what << "\n";
+      ++failures;
+    };
+
+    // Index rows by (app, cores, packing) for the cross-row assertions.
+    std::map<std::tuple<std::string, int, core::SmpPacking>,
+             const analysis::SmpSweepRow*>
+        by_cell;
+    for (const auto& row : rows) {
+      by_cell[{row.code, row.cores_per_node, row.packing}] = &row;
+    }
+    const auto cell = [&](const std::string& app, int cores,
+                          core::SmpPacking packing) {
+      // cores = 1 has only the rank-order baseline row.
+      const auto it = by_cell.find(
+          {app, cores, cores == 1 ? core::SmpPacking::kRankOrder : packing});
+      return it == by_cell.end() ? nullptr : it->second;
+    };
+
+    for (const auto& row : rows) {
+      // Nonzero backplane absorption for the stencil headline code.
+      if (row.code == "cactus" && row.cores_per_node > 1 &&
+          row.backplane_bytes == 0) {
+        fail("cactus absorbs no backplane traffic at " +
+             std::to_string(row.cores_per_node) + " cores/node");
+      }
+      // Affinity never localizes fewer bytes than rank order.
+      if (row.packing == core::SmpPacking::kAffinity) {
+        const auto* naive =
+            cell(row.code, row.cores_per_node, core::SmpPacking::kRankOrder);
+        if (naive != nullptr && row.backplane_bytes < naive->backplane_bytes) {
+          fail(row.code +
+               " affinity localizes fewer bytes than rank order at " +
+               std::to_string(row.cores_per_node) + " cores/node");
+        }
+      }
+      // pmemd stays fully connected at node level (paper case iv).
+      if (row.code == "pmemd" && row.node_tdc_max != row.num_nodes - 1) {
+        fail("pmemd node TDC " + std::to_string(row.node_tdc_max) +
+             " != nodes-1 = " + std::to_string(row.num_nodes - 1) + " at " +
+             std::to_string(row.cores_per_node) + " cores/node");
+      }
+      // Block-pool monotonicity: aggregating more tasks per node never needs
+      // more switch blocks.
+      const auto* prev = cell(row.code, row.cores_per_node / 2, row.packing);
+      if (prev != nullptr && row.num_blocks > prev->num_blocks) {
+        fail(row.code + " (" + std::string(core::packing_name(row.packing)) +
+             "): block pool grew " + std::to_string(prev->num_blocks) + " -> " +
+             std::to_string(row.num_blocks) + " going to " +
              std::to_string(row.cores_per_node) + " cores/node");
       }
     }
-    // pmemd stays fully connected at node level (paper case iv).
-    if (row.code == "pmemd" && row.node_tdc_max != row.num_nodes - 1) {
-      fail("pmemd node TDC " + std::to_string(row.node_tdc_max) +
-           " != nodes-1 = " + std::to_string(row.num_nodes - 1) + " at " +
-           std::to_string(row.cores_per_node) + " cores/node");
-    }
-    // Block-pool monotonicity: aggregating more tasks per node never needs
-    // more switch blocks.
-    const auto* prev = cell(row.code, row.cores_per_node / 2, row.packing);
-    if (prev != nullptr && row.num_blocks > prev->num_blocks) {
-      fail(row.code + " (" +
-           std::string(core::packing_name(row.packing)) + "): block pool grew " +
-           std::to_string(prev->num_blocks) + " -> " +
-           std::to_string(row.num_blocks) + " going to " +
-           std::to_string(row.cores_per_node) + " cores/node");
-    }
-  }
 
-  if (failures != 0) {
-    std::cerr << failures << " invariant(s) violated\n";
-    return EXIT_FAILURE;
-  }
-  std::cout << "check: all SMP invariants hold\n";
-  return 0;
+    if (failures != 0) {
+      std::cerr << failures << " invariant(s) violated\n";
+      return EXIT_FAILURE;
+    }
+    std::cout << "check: all SMP invariants hold\n";
+    return 0;
+  });
 }

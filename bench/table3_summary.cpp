@@ -5,7 +5,6 @@
 /// the §5.2 case classification of every code.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "hfast/analysis/batch.hpp"
@@ -44,65 +43,61 @@ constexpr PaperRow kPaper[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: table3_summary [--engine threads|fibers]
-  //                       [--cache-dir DIR] [--no-cache] [--cache-verify]
   mpisim::EngineKind engine = mpisim::EngineKind::kThreads;
   store::CacheCli cache;
-  for (int i = 1; i < argc; ++i) {
-    if (cache.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = mpisim::parse_engine(argv[++i]);
+  store::Cli cli("table3_summary",
+                 "Paper Table 3 at P=64 and P=256, and the 5.2 case "
+                 "classification.");
+  cli.engine(engine);
+  cache.bind(cli);
+  return cli.run(argc, argv, [&] {
+    const auto cache_store = cache.open(std::cerr);
+
+    // One parallel sweep produces every (app, P) experiment; configs come
+    // back in input order, so app i owns results [2i] (P=64) and [2i+1]
+    // (P=256).
+    std::vector<std::string> names;
+    for (const apps::App& a : apps::registry()) names.push_back(a.info.name);
+    const auto configs = analysis::sweep_configs(names, {64, 256}, {1}, engine);
+    const auto batch =
+        analysis::BatchRunner({.result_store = cache_store.get()}).run(configs);
+    if (!store::CacheCli::report_failures(std::cerr, batch)) {
+      return EXIT_FAILURE;
     }
-  }
-  const auto cache_store = cache.open(std::cerr);
 
-  // One parallel sweep produces every (app, P) experiment; configs come
-  // back in input order, so app i owns results [2i] (P=64) and [2i+1]
-  // (P=256).
-  std::vector<std::string> names;
-  for (const apps::App& a : apps::registry()) names.push_back(a.info.name);
-  const auto configs = analysis::sweep_configs(names, {64, 256}, {1}, engine);
-  const auto batch =
-      analysis::BatchRunner({.result_store = cache_store.get()}).run(configs);
-  if (!batch.ok()) {
-    for (const auto& e : batch.errors) {
-      std::cerr << "experiment failed: " << e.job << ": " << e.message << "\n";
+    std::vector<analysis::Table3Row> rows;
+    std::vector<std::string> classifications;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const auto& small = *batch.results[2 * i];
+      const auto& large = *batch.results[2 * i + 1];
+      rows.push_back(analysis::table3_row(small));
+      rows.push_back(analysis::table3_row(large));
+      const auto cls = core::classify(small.comm_graph, large.comm_graph);
+      classifications.push_back(names[i] + ": " +
+                                core::to_string(cls.comm_case) + " — " +
+                                cls.rationale);
     }
-    return EXIT_FAILURE;
-  }
 
-  std::vector<analysis::Table3Row> rows;
-  std::vector<std::string> classifications;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto& small = *batch.results[2 * i];
-    const auto& large = *batch.results[2 * i + 1];
-    rows.push_back(analysis::table3_row(small));
-    rows.push_back(analysis::table3_row(large));
-    const auto cls = core::classify(small.comm_graph, large.comm_graph);
-    classifications.push_back(names[i] + ": " +
-                              core::to_string(cls.comm_case) + " — " +
-                              cls.rationale);
-  }
+    util::print_banner(std::cout, "Table 3 — measured (this reproduction)");
+    analysis::render_table3(rows).print(std::cout);
 
-  util::print_banner(std::cout, "Table 3 — measured (this reproduction)");
-  analysis::render_table3(rows).print(std::cout);
+    util::print_banner(std::cout, "Table 3 — paper reference values");
+    util::Table p({"Code", "Procs", "% PTP", "% Col.", "TDC@2KB (max,avg)",
+                   "FCN util"});
+    for (const auto& r : kPaper) {
+      p.row().add(r.code).add(r.procs).add(r.ptp, 1).add(r.col, 1).add(r.tdc)
+          .add(r.util);
+    }
+    p.print(std::cout);
+    std::cout << "(paper prints 25% utilization for SuperLU@256; avg-TDC/(P-1)"
+                 " gives ~12% — see EXPERIMENTS.md.)\n";
 
-  util::print_banner(std::cout, "Table 3 — paper reference values");
-  util::Table p({"Code", "Procs", "% PTP", "% Col.", "TDC@2KB (max,avg)",
-                 "FCN util"});
-  for (const auto& r : kPaper) {
-    p.row().add(r.code).add(r.procs).add(r.ptp, 1).add(r.col, 1).add(r.tdc)
-        .add(r.util);
-  }
-  p.print(std::cout);
-  std::cout << "(paper prints 25% utilization for SuperLU@256; avg-TDC/(P-1)"
-               " gives ~12% — see EXPERIMENTS.md.)\n";
+    util::print_banner(std::cout, "5.2 case classification");
+    for (const auto& c : classifications) std::cout << "  " << c << "\n";
 
-  util::print_banner(std::cout, "5.2 case classification");
-  for (const auto& c : classifications) std::cout << "  " << c << "\n";
-
-  // Cache traffic goes to stderr so resumed runs stay byte-identical on
-  // stdout (the CI resume smoke job diffs stdout across runs).
-  store::CacheCli::report(std::cerr, cache_store.get());
-  return 0;
+    // Cache traffic goes to stderr so resumed runs stay byte-identical on
+    // stdout (the CI resume smoke job diffs stdout across runs).
+    store::CacheCli::report(std::cerr, cache_store.get());
+    return 0;
+  });
 }

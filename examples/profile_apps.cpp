@@ -3,54 +3,17 @@
 /// the per-app communication characteristics (the paper's §4 study in one
 /// command). The experiments run as one parallel batch.
 ///
-/// Usage: profile_apps [nranks] [--threads N] [--engine threads|fibers]
-///                     [--cores-per-node C] [--packing rank-order|affinity]
-///                     [--collective-schedule S] [--synth-seed N]
-///                     [--reconfig-windows W] [--reconfig-hysteresis H]
-///                     [--cache-dir DIR] [--no-cache] [--cache-verify]
-///                     [--save-traces DIR] [--trace-format text|bin]
-///                     [--iterations N]
-///   nranks       concurrency per application (default 64)
-///   --threads N  live-thread budget for the batch engine
-///                (default: 4x hardware concurrency)
-///   --engine E   execution engine per experiment (default threads);
-///                fibers runs each job single-threaded and deterministic —
-///                the practical choice for P=1024/4096
-///   --cores-per-node C  SMP provisioning mode: pack C tasks per node and
-///                size the fabric from the node-level quotient graph
-///                (default 1 = the classic per-task pipeline)
-///   --packing P  task-to-node packing policy (default rank-order)
-///   --collective-schedule S  collective-lowering axis recorded in each
-///                experiment's config (and its cache key / JSON export):
-///                analytic | ring | rd | binomial | bruck | pairwise |
-///                hier | auto | synth. With --save-traces and a lowering
-///                schedule, also prints each captured trace's expansion
-///                stats (collective events -> P2P events); the saved trace
-///                files stay un-lowered so any schedule can replay them
-///                later. synth here searches topology-blind (the batch has
-///                no replay substrate); replay_traces prices the search
-///                under the actual network's hop function.
-///   --synth-seed N  synthesis search seed for --collective-schedule synth
-///                (default 1; part of the experiment's cache key)
-///   --reconfig-windows W / --reconfig-hysteresis H
-///                time-windowed reconfiguration axis recorded in each
-///                experiment's config (cache key / JSON export), consumed
-///                by the adaptive replay drivers (replay_traces,
-///                bench/reconfig_sweep). W=0 (default) = static fabric.
-///   --save-traces DIR  enable trace capture and write each app's trace to
-///                DIR/<app>_p<nranks>.<ext> (text ".trace" or HTRC ".htrc"
-///                by --trace-format; default bin — the practical format at
-///                P=1024+)
-///   --trace-format F   format for --save-traces files: text | bin
-///   --iterations N     steady-state iterations per app (0 = each kernel's
-///                default; cap explicitly at ultra-wide P — the all-to-all
-///                kernels record O(P^2) events per iteration)
-///   --cache-*    durable result store (see store::CacheCli::help()):
-///                completed experiments persist as they finish, and re-runs
-///                load hits instead of recomputing
+/// --collective-schedule, --synth-seed and --reconfig-* are recorded in
+/// each experiment's config (its cache key and JSON export). With
+/// --save-traces and a lowering schedule, each captured trace's expansion
+/// stats (collective events -> P2P events) are printed too; the saved
+/// files stay un-lowered so any schedule can replay them later. synth here
+/// searches topology-blind (the batch has no replay substrate);
+/// replay_traces prices the search under the actual network's hop
+/// function. The reconfiguration windows are consumed by the adaptive
+/// replay drivers (replay_traces, bench/reconfig_sweep).
 
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 
@@ -77,166 +40,145 @@ int main(int argc, char** argv) {
   std::string save_traces_dir;
   trace::TraceFormat trace_format = trace::TraceFormat::kBinary;
   int iterations = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (cache.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.thread_budget = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = mpisim::parse_engine(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cores-per-node") == 0 && i + 1 < argc) {
-      smp.cores_per_node = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--packing") == 0 && i + 1 < argc) {
-      smp.packing = core::parse_packing(argv[++i]);
-    } else if (std::strcmp(argv[i], "--collective-schedule") == 0 &&
-               i + 1 < argc) {
-      coll.schedule = collective::parse_schedule(argv[++i]);
-    } else if (std::strcmp(argv[i], "--synth-seed") == 0 && i + 1 < argc) {
-      coll.synth_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--reconfig-windows") == 0 && i + 1 < argc) {
-      reconfig.num_windows = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reconfig-hysteresis") == 0 &&
-               i + 1 < argc) {
-      reconfig.hysteresis_windows = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--save-traces") == 0 && i + 1 < argc) {
-      save_traces_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      const auto f = trace::parse_trace_format(argv[++i]);
-      if (!f.has_value()) {
-        std::cerr << "unknown --trace-format (expected text|bin)\n";
-        return EXIT_FAILURE;
+  store::Cli cli("profile_apps",
+                 "Profile the six paper apps at one concurrency (Table 3 "
+                 "columns per app).");
+  cli.ranks(nranks, "concurrency per application (default 64)")
+      .threads(opts.thread_budget)
+      .engine(engine)
+      .smp(smp)
+      .collective(coll)
+      .reconfig(reconfig)
+      .option("--save-traces", save_traces_dir, "DIR",
+              "capture traces and write DIR/<app>_p<nranks>.<ext>")
+      .option("--trace-format", trace_format, store::trace_format_arg,
+              "text|bin", "format of --save-traces files (default bin)")
+      .option("--iterations", iterations, 0, store::Cli::kMaxCount, "N",
+              "steady-state iterations per app (0 = each kernel's default; "
+              "the all-to-all kernels record O(P^2) events per iteration)");
+  cache.bind(cli);
+  return cli.run(argc, argv, [&] {
+    const auto cache_store = cache.open(std::cerr);
+    opts.result_store = cache_store.get();
+
+    std::vector<std::string> names;
+    for (const apps::App& app : apps::registry()) {
+      if (!apps::valid_concurrency(app, nranks)) {
+        std::cout << app.info.name << ": skipped (P=" << nranks
+                  << " unsupported)\n";
+        continue;
       }
-      trace_format = *f;
-    } else {
-      nranks = std::atoi(argv[i]);
+      names.push_back(app.info.name);
     }
-  }
-  const auto cache_store = cache.open(std::cerr);
-  opts.result_store = cache_store.get();
 
-  std::vector<std::string> names;
-  for (const apps::App& app : apps::registry()) {
-    if (!apps::valid_concurrency(app, nranks)) {
-      std::cout << app.info.name << ": skipped (P=" << nranks
-                << " unsupported)\n";
-      continue;
+    auto configs = analysis::sweep_configs(names, {nranks}, {1}, engine);
+    // The tables below reduce profiles and graphs only; skipping trace
+    // capture keeps the wide-P sweeps (1024+) within memory. --save-traces
+    // re-enables capture so the traces can be written out.
+    for (auto& c : configs) {
+      c.capture_trace = !save_traces_dir.empty();
+      c.iterations = iterations;
+      c.smp = smp;
+      c.collective = coll;
+      c.reconfig = reconfig;
     }
-    names.push_back(app.info.name);
-  }
 
-  auto configs = analysis::sweep_configs(names, {nranks}, {1}, engine);
-  // The tables below reduce profiles and graphs only; skipping trace
-  // capture keeps the wide-P sweeps (1024+) within memory. --save-traces
-  // re-enables capture so the traces can be written out.
-  for (auto& c : configs) {
-    c.capture_trace = !save_traces_dir.empty();
-    c.iterations = iterations;
-    c.smp = smp;
-    c.collective = coll;
-    c.reconfig = reconfig;
-  }
+    const analysis::BatchRunner runner(opts);
+    const auto batch = runner.run(configs);
+    store::CacheCli::report_failures(std::cerr, batch);
 
-  const analysis::BatchRunner runner(opts);
-  const auto batch = runner.run(configs);
-  for (const auto& e : batch.errors) {
-    std::cerr << "experiment failed: " << e.job << ": " << e.message << "\n";
-  }
+    if (!save_traces_dir.empty()) {
+      std::filesystem::create_directories(save_traces_dir);
+      const char* ext =
+          trace_format == trace::TraceFormat::kBinary ? ".htrc" : ".trace";
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        if (!batch.results[i].has_value()) continue;
+        const std::string path = save_traces_dir + "/" + names[i] + "_p" +
+                                 std::to_string(nranks) + ext;
+        trace::save_trace_file(batch.results[i]->trace, path, trace_format);
+        std::cout << "trace: " << path << " ("
+                  << batch.results[i]->trace.events().size() << " events, "
+                  << std::filesystem::file_size(path) << " bytes)\n";
+        if (coll.lowers()) {
+          collective::LowerOptions lopts;
+          lopts.config = coll;
+          if (smp.aggregates()) {
+            const int n = batch.results[i]->trace.nranks();
+            lopts.node_of_rank.resize(static_cast<std::size_t>(n));
+            for (int r = 0; r < n; ++r) {
+              lopts.node_of_rank[static_cast<std::size_t>(r)] =
+                  r / smp.cores_per_node;
+            }
+          }
+          const auto lowered =
+              collective::lower_trace(batch.results[i]->trace, lopts);
+          std::cout << "  lowering ["
+                    << collective::schedule_name(coll.schedule)
+                    << "]: " << lowered.stats.collective_events
+                    << " collective events -> " << lowered.stats.p2p_events
+                    << " P2P events (" << lowered.stats.instances
+                    << " instances, " << lowered.stats.schedules
+                    << " schedules, " << lowered.stats.bytes << " bytes)\n";
+        }
+      }
+    }
 
-  if (!save_traces_dir.empty()) {
-    std::filesystem::create_directories(save_traces_dir);
-    const char* ext =
-        trace_format == trace::TraceFormat::kBinary ? ".htrc" : ".trace";
+    std::vector<analysis::Table3Row> rows;
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (!batch.results[i].has_value()) continue;
-      const std::string path = save_traces_dir + "/" + names[i] + "_p" +
-                               std::to_string(nranks) + ext;
-      trace::save_trace_file(batch.results[i]->trace, path, trace_format);
-      std::cout << "trace: " << path << " ("
-                << batch.results[i]->trace.events().size() << " events, "
-                << std::filesystem::file_size(path) << " bytes)\n";
-      if (coll.lowers()) {
-        collective::LowerOptions lopts;
-        lopts.config = coll;
-        if (smp.aggregates()) {
-          const int n = batch.results[i]->trace.nranks();
-          lopts.node_of_rank.resize(static_cast<std::size_t>(n));
-          for (int r = 0; r < n; ++r) {
-            lopts.node_of_rank[static_cast<std::size_t>(r)] =
-                r / smp.cores_per_node;
-          }
-        }
-        const auto lowered =
-            collective::lower_trace(batch.results[i]->trace, lopts);
-        std::cout << "  lowering [" << collective::schedule_name(coll.schedule)
-                  << "]: " << lowered.stats.collective_events
-                  << " collective events -> " << lowered.stats.p2p_events
-                  << " P2P events (" << lowered.stats.instances
-                  << " instances, " << lowered.stats.schedules
-                  << " schedules, " << lowered.stats.bytes << " bytes)\n";
+      const auto& result = *batch.results[i];
+      rows.push_back(analysis::table3_row(result));
+
+      const auto cls = core::classify(result.comm_graph);
+      util::print_banner(std::cout,
+                         names[i] + " @ P=" + std::to_string(nranks));
+      analysis::render_call_breakdown(result).print(std::cout);
+      std::cout << "classification: " << core::to_string(cls.comm_case) << "\n"
+                << "  (" << cls.rationale << ")\n";
+    }
+
+    util::print_banner(std::cout, "Summary (paper Table 3 columns)");
+    analysis::render_table3(rows).print(std::cout);
+
+    if (smp.aggregates()) {
+      std::vector<analysis::SmpSweepRow> smp_rows;
+      for (const auto& r : batch.results) {
+        if (r.has_value()) smp_rows.push_back(analysis::smp_sweep_row(*r));
       }
+      util::print_banner(std::cout,
+                         "SMP provisioning (" +
+                             std::to_string(smp.cores_per_node) +
+                             " cores/node, " +
+                             std::string(core::packing_name(smp.packing)) +
+                             " packing)");
+      analysis::render_smp_sweep(smp_rows).print(std::cout);
     }
-  }
+    std::cout << "batch: " << names.size() << " experiments ("
+              << mpisim::engine_name(engine) << " engine) in "
+              << batch.wall_seconds << " s under a "
+              << runner.thread_budget() << "-thread budget\n";
+    store::CacheCli::report_batch(std::cout, std::cerr, batch,
+                                  cache_store.get());
+    if (!batch.ok()) return EXIT_FAILURE;
 
-  std::vector<analysis::Table3Row> rows;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (!batch.results[i].has_value()) continue;
-    const auto& result = *batch.results[i];
-    rows.push_back(analysis::table3_row(result));
-
-    const auto cls = core::classify(result.comm_graph);
-    util::print_banner(std::cout,
-                       names[i] + " @ P=" + std::to_string(nranks));
-    analysis::render_call_breakdown(result).print(std::cout);
-    std::cout << "classification: " << core::to_string(cls.comm_case) << "\n"
-              << "  (" << cls.rationale << ")\n";
-  }
-
-  util::print_banner(std::cout, "Summary (paper Table 3 columns)");
-  analysis::render_table3(rows).print(std::cout);
-
-  if (smp.aggregates()) {
-    std::vector<analysis::SmpSweepRow> smp_rows;
-    for (const auto& r : batch.results) {
-      if (r.has_value()) smp_rows.push_back(analysis::smp_sweep_row(*r));
+    // Full IPM-style banner for one representative code (gtc), run with
+    // direct access to the per-rank profiles.
+    if (apps::valid_concurrency(apps::find("gtc"), nranks)) {
+      mpisim::Runtime rt(
+          mpisim::RuntimeConfig{.nranks = nranks, .engine = engine});
+      std::vector<std::unique_ptr<ipm::RankProfile>> profiles;
+      for (int r = 0; r < nranks; ++r) {
+        profiles.push_back(std::make_unique<ipm::RankProfile>(r));
+      }
+      apps::AppParams params;
+      params.nranks = nranks;
+      rt.run(apps::find("gtc").program(params), [&profiles](mpisim::Rank r) {
+        return profiles[static_cast<std::size_t>(r)].get();
+      });
+      std::vector<const ipm::RankProfile*> ptrs;
+      for (const auto& p : profiles) ptrs.push_back(p.get());
+      ipm::write_text_report(std::cout, ptrs, {.job_name = "gtc"});
     }
-    util::print_banner(std::cout,
-                       "SMP provisioning (" +
-                           std::to_string(smp.cores_per_node) +
-                           " cores/node, " +
-                           std::string(core::packing_name(smp.packing)) +
-                           " packing)");
-    analysis::render_smp_sweep(smp_rows).print(std::cout);
-  }
-  std::cout << "batch: " << names.size() << " experiments ("
-            << mpisim::engine_name(engine) << " engine) in "
-            << batch.wall_seconds << " s under a "
-            << runner.thread_budget() << "-thread budget\n";
-  if (cache_store != nullptr) {
-    std::cout << "batch cache: " << batch.cache.hits << " hits, "
-              << batch.cache.misses << " misses, " << batch.cache.stores
-              << " stored\n";
-    store::CacheCli::report(std::cerr, cache_store.get());
-  }
-  if (!batch.ok()) return EXIT_FAILURE;
-
-  // Full IPM-style banner for one representative code (gtc), run with
-  // direct access to the per-rank profiles.
-  if (apps::valid_concurrency(apps::find("gtc"), nranks)) {
-    mpisim::Runtime rt(
-        mpisim::RuntimeConfig{.nranks = nranks, .engine = engine});
-    std::vector<std::unique_ptr<ipm::RankProfile>> profiles;
-    for (int r = 0; r < nranks; ++r) {
-      profiles.push_back(std::make_unique<ipm::RankProfile>(r));
-    }
-    apps::AppParams params;
-    params.nranks = nranks;
-    rt.run(apps::find("gtc").program(params), [&profiles](mpisim::Rank r) {
-      return profiles[static_cast<std::size_t>(r)].get();
-    });
-    std::vector<const ipm::RankProfile*> ptrs;
-    for (const auto& p : profiles) ptrs.push_back(p.get());
-    ipm::write_text_report(std::cout, ptrs, {.job_name = "gtc"});
-  }
-  return 0;
+    return 0;
+  });
 }

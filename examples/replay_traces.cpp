@@ -3,74 +3,22 @@
 /// chosen network model with the partitioned-clock parallel replay — the
 /// driver that opens the P=1024/4096 traces the fiber engine produces.
 ///
-/// Usage: replay_traces [nranks] [--app NAME] [--engine threads|fibers]
-///                      [--network fcn|torus|fattree|hfast]
-///                      [--cores-per-node C] [--packing rank-order|affinity]
-///                      [--collective-schedule S] [--schedule-cache DIR]
-///                      [--synth-seed N]
-///                      [--reconfig-windows W] [--reconfig-hysteresis H]
-///                      [--replay-threads K] [--verify] [--seed S]
-///                      [--iterations N] [--save FILE] [--load FILE]
-///                      [--trace-format text|bin]
-///   nranks             trace concurrency (default 64)
-///   --app NAME         application kernel to trace (default cactus)
-///   --engine E         trace generation engine (default fibers — the only
-///                      practical route to P=1024/4096)
-///   --network M        replay substrate (default torus)
-///   --cores-per-node C SMP mode for the hfast substrate: pack C tasks per
-///                      node, provision the node-level quotient fabric, and
-///                      price co-resident traffic on the node backplane
-///                      (default 1 = the classic per-task fabric)
-///   --packing P        task-to-node packing policy (default rank-order)
-///   --collective-schedule S
-///                      how replay prices collectives: analytic (default,
-///                      the paper's dedicated-tree formula) or a lowering
-///                      schedule — ring, rd, binomial, bruck, pairwise,
-///                      hier, auto, synth — that expands each collective
-///                      into P2P events replayed on the provisioned fabric
-///                      itself. The fabric is still provisioned from the
-///                      original trace's P2P topology; lowered collective
-///                      traffic rides (and contends on) that fabric. synth
-///                      searches the schedule IR per (call, payload) under
-///                      the target topology's hop function (never worse
-///                      than auto's pick by construction).
-///   --schedule-cache DIR
-///                      durable memo for synthesized schedules: re-runs
-///                      with the same (call, P, payload, topology, cost
-///                      model, search knobs) load instead of re-searching.
-///                      Only meaningful with --collective-schedule synth.
-///   --synth-seed N     synthesis search seed (default 1; part of the memo
-///                      key, so distinct seeds never alias)
-///   --reconfig-windows W
-///                      time-windowed reconfigurable replay (requires
-///                      --network hfast, task-level fabric): partition the
-///                      trace into W windows, re-provision the fabric from
-///                      each window's active circuit set, and stall every
-///                      rank for the reconfiguration cost at each window
-///                      boundary whose circuit set changed. 0 (default) =
-///                      static fabric.
-///   --reconfig-hysteresis H
-///                      windows a circuit survives without traffic before
-///                      it is reclaimed (default 1)
-///   --replay-threads K replay shards: 1 = serial algorithm, >1 = parallel
-///                      partitioned-clock replay, 0 = hardware concurrency
-///   --verify           also run the serial replay and require an exactly
-///                      equal ReplayResult (bitwise double equality)
-///   --seed S           experiment seed (default 1)
-///   --iterations N     steady-state iterations (0 = the kernel's default;
-///                      the all-to-all kernels record O(P^2) events per
-///                      iteration, so ultra-wide runs cap this explicitly)
-///   --save FILE        write the generated trace and continue
-///   --load FILE        replay a saved trace instead of generating one
-///                      (nranks/--app/--engine are then ignored)
-///   --trace-format F   format for --save/--load: text (diffable) or bin
-///                      (HTRC, mmap-loaded). Default: by extension —
-///                      ".htrc" is binary, anything else text — with the
-///                      file's leading magic as a load-time tiebreaker.
+/// With --network hfast the fabric is provisioned from the trace's own P2P
+/// topology. --cores-per-node > 1 packs tasks onto nodes, provisions the
+/// node-level quotient fabric and prices co-resident traffic on the node
+/// backplane. A lowering --collective-schedule expands each collective into
+/// P2P events that ride (and contend on) that fabric, which stays
+/// provisioned from the original trace; synth searches the schedule IR per
+/// (call, payload) under the target topology's hop function and is never
+/// worse than auto's pick. --reconfig-windows W (task-level hfast only)
+/// partitions the trace into W windows, re-provisions the fabric from each
+/// window's active circuit set, and stalls every rank for the
+/// reconfiguration cost at each window boundary whose circuit set changed.
+/// --trace-format defaults by extension (".htrc" is binary, anything else
+/// text), with the file's leading magic as a load-time tiebreaker.
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <iostream>
@@ -85,6 +33,7 @@
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/replay.hpp"
 #include "hfast/netsim/replay_reconfig.hpp"
+#include "hfast/store/cli.hpp"
 #include "hfast/store/schedule_cache.hpp"
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/fcn.hpp"
@@ -145,11 +94,16 @@ NetworkBundle build_network(const std::string& kind, const trace::Trace& t,
       b.net = std::make_unique<netsim::FabricNetwork>(b.prov->fabric, link,
                                                       50e-9);
     }
-  } else {
-    throw Error("unknown network model: " + kind +
-                " (expected fcn|torus|fattree|hfast)");
   }
   return b;
+}
+
+std::string parse_network(std::string_view name) {
+  for (const char* kind : {"fcn", "torus", "fattree", "hfast"}) {
+    if (name == kind) return kind;
+  }
+  throw Error("unknown network model '" + std::string(name) +
+              "' (expected fcn|torus|fattree|hfast)");
 }
 
 void print_result(const char* label, const netsim::ReplayResult& r,
@@ -183,61 +137,40 @@ int main(int argc, char** argv) {
   bool verify = false;
   std::uint64_t seed = 1;
   int iterations = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--app") == 0 && i + 1 < argc) {
-      app = argv[++i];
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = mpisim::parse_engine(argv[++i]);
-    } else if (std::strcmp(argv[i], "--network") == 0 && i + 1 < argc) {
-      network = argv[++i];
-    } else if (std::strcmp(argv[i], "--cores-per-node") == 0 && i + 1 < argc) {
-      smp.cores_per_node = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--packing") == 0 && i + 1 < argc) {
-      smp.packing = core::parse_packing(argv[++i]);
-    } else if (std::strcmp(argv[i], "--collective-schedule") == 0 &&
-               i + 1 < argc) {
-      coll.schedule = collective::parse_schedule(argv[++i]);
-    } else if (std::strcmp(argv[i], "--schedule-cache") == 0 && i + 1 < argc) {
-      schedule_cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--synth-seed") == 0 && i + 1 < argc) {
-      coll.synth_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--reconfig-windows") == 0 && i + 1 < argc) {
-      reconfig.num_windows = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reconfig-hysteresis") == 0 &&
-               i + 1 < argc) {
-      reconfig.hysteresis_windows = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--replay-threads") == 0 && i + 1 < argc) {
-      replay_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      verify = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
-      save_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
-      load_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      trace_format = trace::parse_trace_format(argv[++i]);
-      if (!trace_format.has_value()) {
-        std::cerr << "unknown --trace-format (expected text|bin)\n";
-        return EXIT_FAILURE;
-      }
-    } else {
-      nranks = std::atoi(argv[i]);
-    }
-  }
-
-  try {
+  store::Cli cli("replay_traces",
+                 "Trace one paper app (or load a saved trace) and replay it "
+                 "on a network model.");
+  cli.ranks(nranks, "trace concurrency (default 64)")
+      .option("--app", app,
+              [](std::string_view name) { return apps::find(name).info.name; },
+              "NAME", "application kernel to trace (default cactus)")
+      .engine(engine)
+      .option("--network", network, parse_network, "fcn|torus|fattree|hfast",
+              "replay substrate (default torus)")
+      .smp(smp)
+      .collective(coll)
+      .option("--schedule-cache", schedule_cache_dir, "DIR",
+              "durable memo for synthesized schedules (with "
+              "--collective-schedule synth)")
+      .reconfig(reconfig)
+      .option("--replay-threads", replay_threads, 0, 1024, "K",
+              "replay shards: 1 = serial, >1 = partitioned-clock parallel, "
+              "0 = hardware concurrency (default 0)")
+      .flag("--verify", verify,
+            "also run the serial replay and require an exactly equal "
+            "ReplayResult (bitwise double equality)")
+      .option("--seed", seed, "S", "experiment seed (default 1)")
+      .option("--iterations", iterations, 0, store::Cli::kMaxCount, "N",
+              "steady-state iterations (0 = the kernel's default)")
+      .option("--save", save_file, "FILE",
+              "write the generated trace and continue")
+      .option("--load", load_file, "FILE",
+              "replay a saved trace instead of generating one")
+      .option("--trace-format", trace_format, store::trace_format_arg,
+              "text|bin", "format for --save/--load (default by extension)");
+  return cli.run(argc, argv, [&] {
     if (smp.aggregates() && network != "hfast") {
       throw Error("--cores-per-node > 1 requires --network hfast");
-    }
-    if (reconfig.num_windows < 0) {
-      throw Error("--reconfig-windows must be >= 0");
-    }
-    if (reconfig.hysteresis_windows < 0) {
-      throw Error("--reconfig-hysteresis must be >= 0");
     }
     if (reconfig.adapts()) {
       if (network != "hfast") {
@@ -404,9 +337,6 @@ int main(int argc, char** argv) {
       std::cout << "verify: exact match (serial " << serial_s
                 << " s vs parallel " << parallel_s << " s)\n";
     }
-  } catch (const std::exception& e) {
-    std::cerr << "replay_traces: " << e.what() << "\n";
-    return EXIT_FAILURE;
-  }
-  return 0;
+    return 0;
+  });
 }

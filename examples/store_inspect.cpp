@@ -1,25 +1,17 @@
 /// \file store_inspect.cpp
-/// Inspect, validate, and garbage-collect an hfast::store directory.
-///
-/// Usage: store_inspect DIR [options]
-///   (no option)        list every entry: key, app, P, seed, engine, size,
-///                      validity — then the aggregate stats line
-///   --verify           re-validate every entry (frame + CRC + full decode)
-///                      and report the corrupt ones; exit 1 if any
-///   --evict-corrupt    with --verify: delete entries that fail validation
-///   --evict-all        empty the store
-///   --dump KEY         print the entry with the given hex key as JSON
-///                      (same writer/field names as the analysis exports)
-///   --stats-json FILE  write the aggregate stats as JSON (CI artifact)
+/// Inspect, validate, and garbage-collect an hfast::store directory. With
+/// no option it lists every entry (key, app, P, seed, engine, size,
+/// validity), then the aggregate stats line.
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "hfast/analysis/export.hpp"
 #include "hfast/mpisim/engine.hpp"
+#include "hfast/store/cli.hpp"
 #include "hfast/store/store.hpp"
 #include "hfast/util/json.hpp"
 
@@ -60,47 +52,38 @@ void write_stats_json(const std::string& path, const store::ResultStore& st) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: store_inspect DIR [--verify] [--evict-corrupt] "
-                 "[--evict-all] [--dump KEY] [--stats-json FILE]\n";
-    return EXIT_FAILURE;
-  }
-
+  std::string dir;
   bool verify = false;
   bool evict_corrupt = false;
   bool evict_all = false;
-  std::string dump_key;
+  std::optional<std::uint64_t> dump_key;
   std::string stats_json;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) {
-      verify = true;
-    } else if (std::strcmp(argv[i], "--evict-corrupt") == 0) {
-      verify = true;
-      evict_corrupt = true;
-    } else if (std::strcmp(argv[i], "--evict-all") == 0) {
-      evict_all = true;
-    } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
-      dump_key = argv[++i];
-    } else if (std::strcmp(argv[i], "--stats-json") == 0 && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else {
-      std::cerr << "store_inspect: unknown option " << argv[i] << "\n";
-      return EXIT_FAILURE;
-    }
-  }
-
-  try {
-    store::ResultStore st(argv[1]);
+  store::Cli cli("store_inspect",
+                 "Inspect, validate and garbage-collect a result store "
+                 "directory.");
+  cli.positional("DIR", dir, "the store directory", true)
+      .flag("--verify", verify,
+            "re-validate every entry (frame + CRC + full decode) and "
+            "report the corrupt ones; exit 1 if any")
+      .flag("--evict-corrupt", evict_corrupt,
+            "verify, deleting entries that fail validation")
+      .flag("--evict-all", evict_all, "empty the store")
+      .option("--dump", dump_key, store::ResultStore::parse_key, "KEY",
+              "print the entry with the given hex key as JSON")
+      .option("--stats-json", stats_json, "FILE",
+              "write the aggregate stats as JSON");
+  return cli.run(argc, argv, [&] {
+    verify = verify || evict_corrupt;
+    store::ResultStore st(dir);
 
     if (evict_all) {
       std::cout << "evicted " << st.evict_all() << " entries\n";
       return EXIT_SUCCESS;
     }
 
-    if (!dump_key.empty()) {
-      const std::uint64_t key = std::strtoull(dump_key.c_str(), nullptr, 16);
+    if (dump_key.has_value()) {
       for (const store::EntryInfo& e : st.list()) {
-        if (e.key != key || !e.valid) continue;
+        if (e.key != *dump_key || !e.valid) continue;
         // Reload through the public path so the dump exercises exactly
         // what a sweep would read.
         if (auto r = st.load(*e.config)) {
@@ -108,9 +91,8 @@ int main(int argc, char** argv) {
           return EXIT_SUCCESS;
         }
       }
-      std::cerr << "store_inspect: no valid entry with key " << dump_key
-                << "\n";
-      return EXIT_FAILURE;
+      throw Error("no valid entry " +
+                  store::ResultStore::entry_filename(*dump_key));
     }
 
     if (verify) {
@@ -140,9 +122,6 @@ int main(int argc, char** argv) {
     std::cout << n << " entries (" << valid << " valid), " << bytes
               << " bytes in " << st.dir().string() << "\n";
     if (!stats_json.empty()) write_stats_json(stats_json, st);
-  } catch (const std::exception& e) {
-    std::cerr << "store_inspect: " << e.what() << "\n";
-    return EXIT_FAILURE;
-  }
-  return EXIT_SUCCESS;
+    return EXIT_SUCCESS;
+  });
 }

@@ -4,23 +4,13 @@
 /// the CLI face of the SoA trace pipeline and the tool CI's trace-format
 /// smoke job drives.
 ///
-/// Usage: trace_convert IN OUT [--trace-format text|bin]
-///                      [--stats-json FILE] [--no-verify]
-///   IN, OUT          trace files; formats are autodetected from the
-///                    extension (".htrc" = binary) and, on load, the
-///                    file's leading magic
-///   --trace-format F force the OUT format instead of inferring it
-///   --stats-json F   append a JSON line with sizes, event counts and
-///                    load/save wall times to F ("-" = stdout)
-///   --no-verify      skip the load-back equality check
-///
-/// Verification reloads OUT and requires nranks, regions and every event
-/// column to compare equal to IN's — the conversion is lossless or the
-/// exit code is nonzero.
+/// Formats are autodetected from the extension (".htrc" = binary) and, on
+/// load, the file's leading magic. Verification reloads OUT and requires
+/// nranks, regions and every event column to compare equal to IN's — the
+/// conversion is lossless or the exit code is nonzero.
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "hfast/store/cli.hpp"
 #include "hfast/trace/io.hpp"
 #include "hfast/util/assert.hpp"
 
@@ -45,34 +36,20 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   std::string in_path, out_path, stats_json;
   std::optional<trace::TraceFormat> out_format;
-  bool verify = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      out_format = trace::parse_trace_format(argv[++i]);
-      if (!out_format.has_value()) {
-        std::cerr << "unknown --trace-format (expected text|bin)\n";
-        return EXIT_FAILURE;
-      }
-    } else if (std::strcmp(argv[i], "--stats-json") == 0 && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-verify") == 0) {
-      verify = false;
-    } else if (in_path.empty()) {
-      in_path = argv[i];
-    } else if (out_path.empty()) {
-      out_path = argv[i];
-    } else {
-      std::cerr << "unexpected argument: " << argv[i] << "\n";
-      return EXIT_FAILURE;
-    }
-  }
-  if (in_path.empty() || out_path.empty()) {
-    std::cerr << "usage: trace_convert IN OUT [--trace-format text|bin]"
-                 " [--stats-json FILE] [--no-verify]\n";
-    return EXIT_FAILURE;
-  }
-
-  try {
+  bool no_verify = false;
+  store::Cli cli("trace_convert",
+                 "Convert a trace between the text and HTRC binary formats, "
+                 "verifying the\nround trip.");
+  cli.positional("IN", in_path, "trace file to read", true)
+      .positional("OUT", out_path, "trace file to write", true)
+      .option("--trace-format", out_format, store::trace_format_arg,
+              "text|bin", "force the OUT format instead of inferring it")
+      .option("--stats-json", stats_json, "FILE",
+              "append a JSON line with sizes, event counts and load/save "
+              "wall times to FILE (\"-\" = stdout)")
+      .flag("--no-verify", no_verify, "skip the load-back equality check");
+  return cli.run(argc, argv, [&] {
+    const bool verify = !no_verify;
     const auto t_load = std::chrono::steady_clock::now();
     const trace::Trace t = trace::load_trace_file(in_path);
     const double load_s = seconds_since(t_load);
@@ -126,9 +103,6 @@ int main(int argc, char** argv) {
         out << line.str();
       }
     }
-  } catch (const std::exception& e) {
-    std::cerr << "trace_convert: " << e.what() << "\n";
-    return EXIT_FAILURE;
-  }
-  return 0;
+    return 0;
+  });
 }

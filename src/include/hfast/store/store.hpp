@@ -32,6 +32,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hfast/analysis/experiment.hpp"
@@ -90,6 +91,9 @@ class ResultStore {
   }
   /// "<016x-key>.hfe".
   static std::string entry_filename(std::uint64_t key);
+  /// Inverse of entry_filename's key: 1-16 hex digits, with an optional
+  /// "0x" prefix and ".hfe" suffix; anything else throws hfast::Error.
+  static std::uint64_t parse_key(std::string_view text);
   std::filesystem::path entry_path(
       const analysis::ExperimentConfig& config) const;
 

@@ -1,6 +1,7 @@
 #include "hfast/store/store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -169,6 +170,21 @@ ResultStore::ResultStore(fs::path dir) : dir_(std::move(dir)) {
 
 std::string ResultStore::entry_filename(std::uint64_t key) {
   return hex16(key) + kEntrySuffix;
+}
+
+std::uint64_t ResultStore::parse_key(std::string_view text) {
+  std::string_view hex = text;
+  if (hex.substr(0, 2) == "0x") hex.remove_prefix(2);
+  if (hex.ends_with(kEntrySuffix)) {
+    hex.remove_suffix(std::string_view(kEntrySuffix).size());
+  }
+  std::uint64_t key = 0;
+  const char* end = hex.data() + hex.size();
+  const auto [ptr, ec] = std::from_chars(hex.data(), end, key, 16);
+  if (hex.empty() || ec != std::errc{} || ptr != end) {
+    throw Error("'" + std::string(text) + "' is not a 64-bit hex entry key");
+  }
+  return key;
 }
 
 fs::path ResultStore::entry_path(
