@@ -50,6 +50,7 @@
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/fcn.hpp"
 #include "hfast/topo/mesh.hpp"
+#include "hfast/trace/window.hpp"
 #include "hfast/util/table.hpp"
 
 using namespace hfast;
@@ -67,14 +68,12 @@ struct AppNetworks {
   std::vector<std::unique_ptr<netsim::Network>> nets;
 };
 
-graph::CommGraph p2p_graph(const trace::Trace& t) {
-  graph::CommGraph g(t.nranks());
-  for (const trace::CommEvent& e : t.events()) {
-    if (e.kind == trace::EventKind::kSend && e.peer != e.rank && e.peer >= 0) {
-      g.add_message(e.rank, e.peer, e.bytes);
-    }
-  }
-  return g;
+/// Graph options that keep only point-to-point sends: one window of them
+/// is a trace's send graph.
+trace::WindowOptions sends_only() {
+  trace::WindowOptions o;
+  o.expand_collectives = false;
+  return o;
 }
 
 /// Distinct (call, payload) collective signatures of a trace, matched
@@ -123,7 +122,8 @@ AppNetworks build_networks(const trace::Trace& t) {
   b.nets.push_back(std::make_unique<netsim::DirectNetwork>(*b.torus, link));
   b.tree = std::make_unique<topo::FatTree>(n, 16);
   b.nets.push_back(std::make_unique<netsim::FatTreeNetwork>(*b.tree, link));
-  b.prov = core::provision_greedy(p2p_graph(t), {.cutoff = 0});
+  b.prov = core::provision_greedy(
+      trace::windowed_graphs(t, 1, sends_only()).front(), {.cutoff = 0});
   b.nets.push_back(
       std::make_unique<netsim::FabricNetwork>(b.prov->fabric, link, 50e-9));
   return b;
@@ -228,8 +228,9 @@ int main(int argc, char** argv) {
       }
 
       // Baseline: the analytic replay of the original trace.
-      const graph::TdcStats base_tdc = graph::tdc(p2p_graph(t),
-                                                  graph::kBdpCutoffBytes);
+      const graph::TdcStats base_tdc =
+          graph::tdc(trace::windowed_graphs(t, 1, sends_only()).front(),
+                     graph::kBdpCutoffBytes);
       std::vector<double> base_ms;
       table.row().add(names[a]).add("analytic").add(std::uint64_t{0})
           .add(std::uint64_t{0}).add(base_tdc.max).add(0);
@@ -292,8 +293,9 @@ int main(int argc, char** argv) {
                std::string(collective::schedule_name(kind)) +
                "]: lowering expanded nothing");
         }
-        const graph::TdcStats tdc = graph::tdc(p2p_graph(lowered.trace),
-                                               graph::kBdpCutoffBytes);
+        const graph::TdcStats tdc = graph::tdc(
+            trace::windowed_graphs(lowered.trace, 1, sends_only()).front(),
+            graph::kBdpCutoffBytes);
         table.row().add(names[a]).add(
             std::string(collective::schedule_name(kind)));
         table.add(lowered.stats.p2p_events).add(lowered.stats.bytes)

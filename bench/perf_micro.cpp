@@ -1,18 +1,18 @@
 /// \file perf_micro.cpp
 /// google-benchmark microbenchmarks of the core kernels: communication
 /// graph construction, TDC cutoff sweeps, both provisioners, fabric
-/// routing and the runtime's messaging path. Trace replay is measured by
-/// perfbench/ instead.
+/// routing, the runtime's messaging path, the batch sweep engine, trace
+/// loading and collective lowering. Trace replay is measured by perfbench/
+/// instead.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <thread>
-#include <utility>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "hfast/analysis/batch.hpp"
 #include "hfast/collective/lower.hpp"
@@ -20,11 +20,7 @@
 #include "hfast/graph/clique.hpp"
 #include "hfast/graph/tdc.hpp"
 #include "hfast/mpisim/runtime.hpp"
-#include "hfast/netsim/replay.hpp"
-#include "hfast/store/store.hpp"
-#include "hfast/topo/mesh.hpp"
 #include "hfast/trace/io.hpp"
-#include "hfast/util/json.hpp"
 
 using namespace hfast;
 
@@ -243,380 +239,6 @@ void BM_collective_lowering(benchmark::State& state) {
 BENCHMARK(BM_collective_lowering)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-/// Emit the sweep-engine datapoint the roadmap tracks: sequential vs
-/// batched wall time for the standard job set, as BENCH_batch_sweep.json
-/// in the working directory.
-void write_batch_sweep_datapoint() {
-  const auto configs = sweep_jobs();
-  const auto time_sweep = [&configs](int budget) {
-    const analysis::BatchRunner runner({.thread_budget = budget});
-    const auto start = std::chrono::steady_clock::now();
-    const auto r = runner.run(configs);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return r.ok() ? wall : -1.0;
-  };
-  const double seq = time_sweep(1);
-  const double par = time_sweep(0);
-  if (seq < 0.0 || par < 0.0) {
-    std::cerr << "BENCH_batch_sweep: sweep failed, no datapoint written\n";
-    return;
-  }
-  // Engine comparison at P=256: same jobs, same default budget, only the
-  // execution engine differs. Fibers may be unavailable (TSan builds) —
-  // report -1 there rather than dropping the datapoint.
-  const auto time_engine = [](mpisim::EngineKind engine) {
-    if (engine == mpisim::EngineKind::kFibers && !mpisim::fibers_supported()) {
-      return -1.0;
-    }
-    const auto jobs = engine_jobs(engine);
-    const analysis::BatchRunner runner;
-    const auto start = std::chrono::steady_clock::now();
-    const auto r = runner.run(jobs);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return r.ok() ? wall : -1.0;
-  };
-  const double threads256 = time_engine(mpisim::EngineKind::kThreads);
-  const double fibers256 = time_engine(mpisim::EngineKind::kFibers);
-
-  // Cold-vs-warm store datapoint: the same P=256 sweep against an empty
-  // result store (every job computes and persists) and again against the
-  // populated one (every job is a cache hit — the resumable-sweep payoff).
-  // -1 seconds means the pass could not run.
-  const auto store_dir =
-      std::filesystem::temp_directory_path() / "hfast_bench_store_p256";
-  double cold = -1.0, warm = -1.0;
-  std::uint64_t warm_hits = 0;
-  {
-    const auto jobs = engine_jobs(mpisim::fibers_supported()
-                                      ? mpisim::EngineKind::kFibers
-                                      : mpisim::EngineKind::kThreads);
-    try {
-      store::ResultStore cache(store_dir);
-      cache.evict_all();
-      const analysis::BatchRunner runner({.result_store = &cache});
-      const auto time_pass = [&]() {
-        const auto start = std::chrono::steady_clock::now();
-        const auto r = runner.run(jobs);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        warm_hits = r.cache.hits;
-        return r.ok() ? wall : -1.0;
-      };
-      cold = time_pass();
-      warm_hits = 0;
-      warm = time_pass();
-    } catch (const std::exception& e) {
-      std::cerr << "BENCH store datapoint skipped: " << e.what() << "\n";
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(store_dir, ec);
-  }
-
-  // Trace-format datapoint: the six-app P=1024 fiber traces saved as text
-  // and HTRC, with load wall times for text parse, binary stream decode,
-  // and binary mmap decode — the acceptance wall for the columnar trace
-  // pipeline is binary/mmap >= 10x faster than text. -1 seconds means
-  // fibers are unavailable.
-  double trace_text_save = -1.0, trace_bin_save = -1.0;
-  double trace_text_load = -1.0, trace_bin_load = -1.0, trace_mmap_load = -1.0;
-  std::uint64_t trace_text_bytes = 0, trace_bin_bytes = 0, trace_events = 0;
-  if (mpisim::fibers_supported()) {
-    try {
-      const std::vector<std::string> apps = {"cactus", "gtc",   "lbmhd",
-                                             "superlu", "pmemd", "paratec"};
-      auto jobs = analysis::sweep_configs(apps, {1024}, {1},
-                                          mpisim::EngineKind::kFibers);
-      const analysis::BatchRunner runner;
-      const auto batch = runner.run(jobs);
-      if (batch.ok()) {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         "hfast_bench_traces_p1024";
-        std::filesystem::create_directories(dir);
-        std::vector<std::string> text_paths, bin_paths;
-        trace_text_save = trace_bin_save = 0.0;
-        trace_text_load = trace_bin_load = trace_mmap_load = 0.0;
-        const auto timed = [](auto&& fn) {
-          const auto start = std::chrono::steady_clock::now();
-          fn();
-          return std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-              .count();
-        };
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-          const auto& t = batch.results[i]->trace;
-          trace_events += t.events().size();
-          const auto text_path = (dir / (apps[i] + ".trace")).string();
-          const auto bin_path = (dir / (apps[i] + ".htrc")).string();
-          trace_text_save += timed([&] { trace::save_trace_file(t, text_path); });
-          trace_bin_save += timed([&] { trace::save_trace_file(t, bin_path); });
-          trace_text_bytes += std::filesystem::file_size(text_path);
-          trace_bin_bytes += std::filesystem::file_size(bin_path);
-          text_paths.push_back(text_path);
-          bin_paths.push_back(bin_path);
-        }
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-          trace_text_load +=
-              timed([&] { (void)trace::load_trace_file(text_paths[i]); });
-          trace_bin_load += timed([&] {
-            std::ifstream in(bin_paths[i], std::ios::binary);
-            (void)trace::Trace::load_binary(in);
-          });
-          trace_mmap_load +=
-              timed([&] { (void)trace::load_trace_file(bin_paths[i]); });
-        }
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "BENCH trace datapoint skipped: " << e.what() << "\n";
-    }
-  }
-
-  // Collective-lowering datapoint: the six-app P=256 fiber traces replayed
-  // on the torus with the analytic baseline vs the ring and Bruck lowerings
-  // — what pricing collectives on the actual links (instead of the
-  // dedicated-tree formula) costs in replay wall time, plus the lowering
-  // pass's own wall time. -1 seconds means fibers are unavailable.
-  double coll_lower = -1.0;
-  double coll_analytic = -1.0, coll_ring = -1.0, coll_bruck = -1.0;
-  std::uint64_t coll_events = 0, coll_ring_p2p = 0, coll_bruck_p2p = 0;
-  if (mpisim::fibers_supported()) {
-    try {
-      const std::vector<std::string> apps = {"cactus",  "gtc",   "lbmhd",
-                                             "superlu", "pmemd", "paratec"};
-      auto jobs = analysis::sweep_configs(apps, {256}, {1},
-                                          mpisim::EngineKind::kFibers);
-      const analysis::BatchRunner runner;
-      const auto batch = runner.run(jobs);
-      if (batch.ok()) {
-        const auto timed = [](auto&& fn) {
-          const auto start = std::chrono::steady_clock::now();
-          fn();
-          return std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-              .count();
-        };
-        coll_lower = coll_analytic = coll_ring = coll_bruck = 0.0;
-        const topo::MeshTorus torus(topo::MeshTorus::balanced_dims(256, 3),
-                                    true);
-        const netsim::LinkParams link;
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-          const auto& t = batch.results[i]->trace;
-          coll_events += t.events().size();
-          collective::LowerOptions ring_opts, bruck_opts;
-          ring_opts.config.schedule = collective::ScheduleKind::kRing;
-          bruck_opts.config.schedule = collective::ScheduleKind::kBruck;
-          collective::LowerResult ring, bruck;
-          coll_lower += timed([&] { ring = collective::lower_trace(t, ring_opts); });
-          coll_lower += timed([&] { bruck = collective::lower_trace(t, bruck_opts); });
-          coll_ring_p2p += ring.stats.p2p_events;
-          coll_bruck_p2p += bruck.stats.p2p_events;
-          netsim::DirectNetwork net(torus, link);
-          coll_analytic += timed([&] { (void)netsim::replay(t, net); });
-          coll_ring += timed([&] { (void)netsim::replay(ring.trace, net); });
-          coll_bruck += timed([&] { (void)netsim::replay(bruck.trace, net); });
-        }
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "BENCH collective datapoint skipped: " << e.what() << "\n";
-    }
-  }
-
-  // Schedule-synthesis datapoint: pmemd (the alltoall-heavy code) at P=256
-  // on the torus. Records the per-signature search wall time, the modeled
-  // cost delta of the synthesized schedules vs the auto selector's picks
-  // under the same hop function, and the replay-makespan delta once each
-  // lowering rides the torus. -1 seconds means fibers are unavailable.
-  double synth_search = -1.0;
-  double synth_model_cost = 0.0, synth_auto_model_cost = 0.0;
-  double synth_makespan = -1.0, synth_auto_makespan = -1.0;
-  std::uint64_t synth_signatures = 0;
-  if (mpisim::fibers_supported()) {
-    try {
-      analysis::ExperimentConfig cfg;
-      cfg.app = "pmemd";
-      cfg.nranks = 256;
-      cfg.engine = mpisim::EngineKind::kFibers;
-      const trace::Trace t = analysis::run_experiment(cfg).trace;
-      const auto timed = [](auto&& fn) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-      };
-      const topo::MeshTorus torus(topo::MeshTorus::balanced_dims(256, 3),
-                                  true);
-      netsim::DirectNetwork net(torus, netsim::LinkParams{});
-      const collective::HopFn hops = [&net](int a, int b) {
-        net.prewarm_route(a, b);
-        return net.switch_hops(a, b);
-      };
-      // Distinct (call, payload) signatures, matched positionally across
-      // ranks exactly as lower_trace matches instances.
-      std::vector<std::pair<mpisim::CallType, std::uint64_t>> sigs;
-      {
-        std::vector<trace::EventSpan> spans;
-        std::vector<std::vector<std::size_t>> at(256);
-        for (int r = 0; r < 256; ++r) {
-          spans.push_back(t.rank_events(r));
-          for (std::size_t i = 0; i < spans.back().size(); ++i) {
-            if (spans.back().kind(i) == trace::EventKind::kCollective) {
-              at[static_cast<std::size_t>(r)].push_back(i);
-            }
-          }
-        }
-        for (std::size_t k = 0; k < at[0].size(); ++k) {
-          const mpisim::CallType call = spans[0].call(at[0][k]);
-          std::uint64_t payload = 0;
-          for (int r = 0; r < 256; ++r) {
-            payload = std::max(payload, spans[static_cast<std::size_t>(r)]
-                                            .bytes(at[static_cast<
-                                                std::size_t>(r)][k]));
-          }
-          const auto sig = std::make_pair(call, payload);
-          if (std::find(sigs.begin(), sigs.end(), sig) == sigs.end()) {
-            sigs.push_back(sig);
-          }
-        }
-      }
-      synth_signatures = sigs.size();
-      synth_search = 0.0;
-      for (const auto& [call, payload] : sigs) {
-        collective::SynthesisOptions sopts;
-        sopts.hops = hops;
-        collective::SynthesisResult r;
-        synth_search +=
-            timed([&] { r = collective::synthesize(call, 256, payload, sopts); });
-        synth_model_cost += r.cost;
-        synth_auto_model_cost += r.auto_cost;
-      }
-      collective::LowerOptions auto_opts, synth_opts;
-      auto_opts.config.schedule = collective::ScheduleKind::kAuto;
-      auto_opts.hops = hops;
-      synth_opts.config.schedule = collective::ScheduleKind::kSynth;
-      synth_opts.hops = hops;
-      const auto auto_lowered = collective::lower_trace(t, auto_opts);
-      const auto synth_lowered = collective::lower_trace(t, synth_opts);
-      synth_auto_makespan = netsim::replay(auto_lowered.trace, net).makespan_s;
-      synth_makespan = netsim::replay(synth_lowered.trace, net).makespan_s;
-    } catch (const std::exception& e) {
-      std::cerr << "BENCH synth datapoint skipped: " << e.what() << "\n";
-    }
-  }
-
-  std::ofstream ofs("BENCH_batch_sweep.json");
-  util::JsonWriter json(ofs);
-  json.begin_object();
-  json.field("bench", "batch_sweep");
-  json.field("jobs", static_cast<std::uint64_t>(configs.size()));
-  json.field("hardware_concurrency", std::thread::hardware_concurrency());
-  json.field("thread_budget",
-             analysis::BatchRunner({.thread_budget = 0}).thread_budget());
-  json.field("sequential_seconds", seq);
-  json.field("batched_seconds", par);
-  json.field("speedup", par > 0.0 ? seq / par : 0.0);
-  json.key("engine_p256");
-  json.begin_object();
-  json.field("threads_seconds", threads256);
-  json.field("fibers_seconds", fibers256);
-  json.field("fibers_speedup",
-             threads256 > 0.0 && fibers256 > 0.0 ? threads256 / fibers256 : 0.0);
-  json.end_object();
-  json.key("store_p256");
-  json.begin_object();
-  json.field("cold_seconds", cold);
-  json.field("warm_seconds", warm);
-  json.field("warm_hits", warm_hits);
-  json.field("warm_speedup", cold > 0.0 && warm > 0.0 ? cold / warm : 0.0);
-  json.end_object();
-  json.key("trace_p1024");
-  json.begin_object();
-  json.field("apps", std::uint64_t{6});
-  json.field("events", trace_events);
-  json.field("text_bytes", trace_text_bytes);
-  json.field("binary_bytes", trace_bin_bytes);
-  json.field("text_save_seconds", trace_text_save);
-  json.field("binary_save_seconds", trace_bin_save);
-  json.field("text_load_seconds", trace_text_load);
-  json.field("binary_load_seconds", trace_bin_load);
-  json.field("mmap_load_seconds", trace_mmap_load);
-  json.field("binary_load_speedup",
-             trace_text_load > 0.0 && trace_bin_load > 0.0
-                 ? trace_text_load / trace_bin_load
-                 : 0.0);
-  json.field("mmap_load_speedup",
-             trace_text_load > 0.0 && trace_mmap_load > 0.0
-                 ? trace_text_load / trace_mmap_load
-                 : 0.0);
-  json.end_object();
-  json.key("collective_p256");
-  json.begin_object();
-  json.field("apps", std::uint64_t{6});
-  json.field("events", coll_events);
-  json.field("ring_p2p_events", coll_ring_p2p);
-  json.field("bruck_p2p_events", coll_bruck_p2p);
-  json.field("lower_seconds", coll_lower);
-  json.field("analytic_replay_seconds", coll_analytic);
-  json.field("ring_replay_seconds", coll_ring);
-  json.field("bruck_replay_seconds", coll_bruck);
-  json.field("ring_replay_overhead",
-             coll_analytic > 0.0 && coll_ring >= 0.0 ? coll_ring / coll_analytic
-                                                     : 0.0);
-  json.field("bruck_replay_overhead",
-             coll_analytic > 0.0 && coll_bruck >= 0.0
-                 ? coll_bruck / coll_analytic
-                 : 0.0);
-  json.end_object();
-  json.key("synth_p256");
-  json.begin_object();
-  json.field("app", "pmemd");
-  json.field("signatures", synth_signatures);
-  json.field("search_seconds", synth_search);
-  json.field("synth_model_cost_s", synth_model_cost);
-  json.field("auto_model_cost_s", synth_auto_model_cost);
-  json.field("model_cost_delta",
-             synth_auto_model_cost > 0.0
-                 ? (synth_auto_model_cost - synth_model_cost) /
-                       synth_auto_model_cost
-                 : 0.0);
-  json.field("synth_replay_makespan_s", synth_makespan);
-  json.field("auto_replay_makespan_s", synth_auto_makespan);
-  json.field("replay_delta",
-             synth_auto_makespan > 0.0 && synth_makespan >= 0.0
-                 ? (synth_auto_makespan - synth_makespan) /
-                       synth_auto_makespan
-                 : 0.0);
-  json.end_object();
-  json.end_object();
-  json.finish();
-  std::cout << "BENCH_batch_sweep.json: " << configs.size() << " jobs, "
-            << seq << " s sequential, " << par << " s batched ("
-            << (par > 0.0 ? seq / par : 0.0) << "x); P=256 engines: "
-            << threads256 << " s threads vs " << fibers256
-            << " s fibers; store: " << cold << " s cold vs " << warm
-            << " s warm (" << warm_hits << " hits); trace P=1024 load: "
-            << trace_text_load << " s text vs " << trace_bin_load
-            << " s binary vs " << trace_mmap_load << " s mmap ("
-            << (trace_text_load > 0.0 && trace_mmap_load > 0.0
-                    ? trace_text_load / trace_mmap_load
-                    : 0.0)
-            << "x); collective P=256 torus replay: " << coll_analytic
-            << " s analytic vs " << coll_ring << " s ring vs " << coll_bruck
-            << " s bruck (+" << coll_ring_p2p << "/+" << coll_bruck_p2p
-            << " P2P events, lowering " << coll_lower
-            << " s); synth pmemd P=256: " << synth_signatures
-            << " signatures searched in " << synth_search
-            << " s, model cost " << synth_model_cost << " s vs auto "
-            << synth_auto_model_cost << " s, replay " << synth_makespan
-            << " s vs auto " << synth_auto_makespan << " s\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -624,6 +246,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_batch_sweep_datapoint();
   return 0;
 }

@@ -59,16 +59,6 @@ namespace {
 /// Window count of the plan-summary table and the hysteresis sweep.
 constexpr std::size_t kPlanWindows = 8;
 
-graph::CommGraph p2p_graph(const trace::Trace& t) {
-  graph::CommGraph g(t.nranks());
-  for (const trace::CommEvent& e : t.events()) {
-    if (e.kind == trace::EventKind::kSend && e.peer != e.rank && e.peer >= 0) {
-      g.add_message(e.rank, e.peer, e.bytes);
-    }
-  }
-  return g;
-}
-
 /// One app's §6 loop: windowed TDC, the incremental circuit plan under
 /// `rc`, and the reconfigurable replay that pays for it.
 void print_app_detail(const std::string& app, int nranks,
@@ -214,8 +204,11 @@ int main(int argc, char** argv) {
 
       // Static baselines: the whole-trace HFAST fabric, fat-tree, torus.
       {
-        const core::Provisioned prov =
-            core::provision_greedy(p2p_graph(steady), {.cutoff = 0});
+        trace::WindowOptions sends_only;
+        sends_only.expand_collectives = false;
+        const core::Provisioned prov = core::provision_greedy(
+            trace::windowed_graphs(steady, 1, sends_only).front(),
+            {.cutoff = 0});
         netsim::FabricNetwork net(prov.fabric, link, 50e-9);
         const auto r = netsim::replay(steady, net);
         table.row().add(names[a]).add("static hfast").add("-")

@@ -39,6 +39,7 @@
 #include "hfast/topo/fcn.hpp"
 #include "hfast/topo/mesh.hpp"
 #include "hfast/trace/io.hpp"
+#include "hfast/trace/window.hpp"
 
 using namespace hfast;
 
@@ -73,13 +74,10 @@ NetworkBundle build_network(const std::string& kind, const trace::Trace& t,
   } else if (kind == "hfast") {
     // Provision the fabric from the trace's own communication topology —
     // exactly what the paper's HFAST evaluation does with IPM data.
-    graph::CommGraph g(n);
-    for (const trace::CommEvent& e : t.events()) {
-      if (e.kind == trace::EventKind::kSend && e.peer != e.rank &&
-          e.peer >= 0) {
-        g.add_message(e.rank, e.peer, e.bytes);
-      }
-    }
+    trace::WindowOptions sends_only;
+    sends_only.expand_collectives = false;
+    const graph::CommGraph g =
+        std::move(trace::windowed_graphs(t, 1, sends_only).front());
     if (smp.aggregates()) {
       // SMP mode: pack tasks onto nodes, provision the quotient fabric,
       // and replay with co-resident traffic priced on the node backplane.

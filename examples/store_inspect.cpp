@@ -20,8 +20,8 @@ using namespace hfast;
 namespace {
 
 void print_entry(const store::EntryInfo& e) {
-  std::cout << store::ResultStore::entry_filename(e.key) << "  "
-            << e.file_bytes << " bytes  ";
+  std::cout << e.path.filename().string() << "  " << e.file_bytes
+            << " bytes  ";
   if (e.valid && e.config.has_value()) {
     const auto& c = *e.config;
     std::cout << c.app << " P=" << c.nranks << " seed=" << c.seed << " "

@@ -17,9 +17,9 @@
 ///    produce a clean error, never UB or an absurd allocation.
 ///
 /// The codec covers the *payload* only; framing (magic, version, key,
-/// CRC32 footer) lives in store.cpp. kFormatVersion is baked into both the
-/// frame and the cache key, so a format change invalidates old entries
-/// instead of misreading them.
+/// CRC32 footer) lives in entry_dir.cpp. kFormatVersion is baked into
+/// both the frame and the cache key, so a format change invalidates old
+/// entries instead of misreading them.
 
 #include <cstddef>
 #include <cstdint>

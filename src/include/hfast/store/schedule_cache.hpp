@@ -11,32 +11,23 @@
 /// payload, topology digest, cost params, search knobs) — so re-runs and
 /// sibling sweep cells load instead of re-searching.
 ///
-/// On-disk layout mirrors ResultStore (one file per entry,
-/// `<dir>/<016x-key>.hsc`):
-///
-///     magic   "HSCH"                      4 bytes
-///     u32     format version (codec.hpp)
-///     u64     synth key (redundant with the filename; cross-checked)
-///     u64     payload length
-///     bytes   canonical schedule payload (encode_schedule)
-///     u32     CRC32 of the payload
-///
-/// Same crash-safety protocol as ResultStore (temp + atomic rename), and
-/// the same corrupt-entry-is-a-miss contract — with one addition: a
-/// decoded schedule must also pass collective::validate_schedule before
-/// load() returns it, so a tampered entry can never smuggle an invalid
-/// schedule into a replay. Entries are derived artifacts: losing one only
-/// costs a re-search.
+/// Each winner is one `<dir>/<016x-key>.hsc` file ("HSCH" frame, CRC32
+/// footer) written by store::EntryDir, in the layout and crash protocol
+/// DESIGN.md ("Durable result store") describes for ResultStore; a corrupt
+/// entry is a miss. One addition: a decoded schedule must also pass
+/// collective::validate_schedule before load() returns it, so a tampered
+/// entry can never smuggle an invalid schedule into a replay. Entries are
+/// derived artifacts: losing one only costs a re-search.
 
 #include <cstdint>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "hfast/collective/synthesize.hpp"
 #include "hfast/store/codec.hpp"
-#include "hfast/store/store.hpp"
+#include "hfast/store/entry_dir.hpp"
 
 namespace hfast::store {
 
@@ -61,7 +52,7 @@ class ScheduleCache final : public collective::SynthMemo {
   /// when the path cannot be used. Sweeps orphaned temp files.
   explicit ScheduleCache(std::filesystem::path dir);
 
-  const std::filesystem::path& dir() const noexcept { return dir_; }
+  const std::filesystem::path& dir() const noexcept { return entries_.dir(); }
 
   /// "<016x-key>.hsc".
   static std::string entry_filename(std::uint64_t key);
@@ -74,13 +65,10 @@ class ScheduleCache final : public collective::SynthMemo {
   /// count as store_failures instead of throwing.
   void save(std::uint64_t key, const collective::Schedule& schedule) override;
 
-  CacheCounters counters() const;
+  CacheCounters counters() const { return entries_.counters(); }
 
  private:
-  std::filesystem::path dir_;
-  mutable std::mutex mutex_;  ///< guards counters_ and temp-name sequencing
-  CacheCounters counters_;
-  std::uint64_t temp_seq_ = 0;
+  EntryDir entries_;
 };
 
 }  // namespace hfast::store

@@ -10,26 +10,14 @@
 /// and a re-run of the same sweep loads hits instead of recomputing —
 /// a killed sweep resumes from where it died.
 ///
-/// On-disk layout (one file per entry, `<dir>/<016x-key>.hfe`):
-///
-///     magic   "HFST"                      4 bytes
-///     u32     format version (codec.hpp)
-///     u64     cache key (redundant with the filename; cross-checked)
-///     u64     payload length
-///     bytes   canonical result payload (store/codec)
-///     u32     CRC32 of the payload
-///
-/// Crash-safety protocol: the payload is written to a unique temp file in
-/// the same directory, fsync'd, then atomically renamed over the final
-/// name (POSIX rename within a directory is atomic), and the directory is
-/// fsync'd so the entry survives power loss. Readers therefore never see a
-/// half-written entry under a final name; anything torn (truncated file,
-/// flipped bit, stale version) fails the frame/CRC/decode checks and is
-/// treated as a cache miss, never an error.
+/// Each entry is one `<dir>/<016x-key>.hfe` file ("HFST" frame, CRC32
+/// footer) written by store::EntryDir; DESIGN.md ("Durable result store")
+/// describes the layout and the crash protocol. Anything torn (truncated
+/// file, flipped bit, stale version) is treated as a cache miss, never an
+/// error.
 
 #include <cstdint>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,18 +25,9 @@
 
 #include "hfast/analysis/experiment.hpp"
 #include "hfast/store/codec.hpp"
+#include "hfast/store/entry_dir.hpp"
 
 namespace hfast::store {
-
-/// Cumulative cache traffic counters for one store instance.
-struct CacheCounters {
-  std::uint64_t hits = 0;            ///< load() returned a result
-  std::uint64_t misses = 0;          ///< load() found nothing usable
-  std::uint64_t stores = 0;          ///< save() persisted an entry
-  std::uint64_t corrupt_misses = 0;  ///< subset of misses: entry existed but
-                                     ///< failed validation
-  std::uint64_t store_failures = 0;  ///< save() could not persist
-};
 
 /// One entry as seen by the index API.
 struct EntryInfo {
@@ -83,7 +62,7 @@ class ResultStore {
   /// when the path exists but is not a directory or cannot be created.
   explicit ResultStore(std::filesystem::path dir);
 
-  const std::filesystem::path& dir() const noexcept { return dir_; }
+  const std::filesystem::path& dir() const noexcept { return entries_.dir(); }
 
   /// The content address of a config (see codec.hpp::config_key).
   static std::uint64_t key(const analysis::ExperimentConfig& config) {
@@ -110,7 +89,7 @@ class ResultStore {
   /// throwing: a sweep must never lose a computed result to a full disk.
   bool save(const analysis::ExperimentResult& result);
 
-  CacheCounters counters() const;
+  CacheCounters counters() const { return entries_.counters(); }
 
   // --- index / GC ----------------------------------------------------------
 
@@ -118,7 +97,11 @@ class ResultStore {
   /// decode) and carries the decoded config for valid ones.
   std::vector<EntryInfo> list() const;
 
+  /// Decodes every entry (see list()); files() is the cheap census.
   StoreStats stats() const;
+
+  /// Every entry file with its size, sorted by filename; reads no entry.
+  std::vector<EntryFile> files() const { return entries_.list(); }
 
   /// Remove the entry for `key` if present; returns true when removed.
   bool evict(std::uint64_t key);
@@ -130,12 +113,9 @@ class ResultStore {
   VerifyReport verify(bool evict_corrupt = false);
 
  private:
-  EntryInfo inspect_entry(const std::filesystem::path& path) const;
+  EntryInfo inspect_entry(const EntryFile& file) const;
 
-  std::filesystem::path dir_;
-  mutable std::mutex mutex_;  ///< guards counters_ and temp-name sequencing
-  CacheCounters counters_;
-  std::uint64_t temp_seq_ = 0;
+  EntryDir entries_;
 };
 
 }  // namespace hfast::store

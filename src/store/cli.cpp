@@ -268,12 +268,14 @@ std::unique_ptr<ResultStore> CacheCli::open(std::ostream& diag) const {
 void CacheCli::report(std::ostream& os, const ResultStore* cache_store) {
   if (cache_store == nullptr) return;
   const CacheCounters c = cache_store->counters();
-  const StoreStats s = cache_store->stats();
+  const std::vector<EntryFile> files = cache_store->files();
+  std::uintmax_t bytes = 0;
+  for (const EntryFile& f : files) bytes += f.bytes;
   os << "cache: " << c.hits << " hits, " << c.misses << " misses ("
      << c.corrupt_misses << " corrupt), " << c.stores << " stored";
   if (c.store_failures > 0) os << ", " << c.store_failures << " store failures";
-  os << "; " << cache_store->dir().string() << ": " << s.entries
-     << " entries, " << s.total_bytes << " bytes\n";
+  os << "; " << cache_store->dir().string() << ": " << files.size()
+     << " entries, " << bytes << " bytes\n";
 }
 
 bool CacheCli::report_failures(std::ostream& diag,

@@ -1,129 +1,13 @@
 #include "hfast/store/schedule_cache.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <system_error>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HFAST_SCHED_CACHE_POSIX 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "hfast/collective/verify.hpp"
 #include "hfast/util/assert.hpp"
-#include "hfast/util/hash.hpp"
 
 namespace hfast::store {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-constexpr char kMagic[4] = {'H', 'S', 'C', 'H'};
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;  // magic, version, key, len
-constexpr std::size_t kFooterBytes = 4;              // CRC32
-constexpr const char* kEntrySuffix = ".hsc";
-constexpr const char* kTempPrefix = ".tmp-";
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::optional<std::vector<std::byte>> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::byte> bytes;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  if (end < 0) return std::nullopt;
-  bytes.resize(static_cast<std::size_t>(end));
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in) return std::nullopt;
-  return bytes;
-}
-
-bool write_file_synced(const fs::path& path,
-                       const std::vector<std::byte>& bytes) {
-#ifdef HFAST_SCHED_CACHE_POSIX
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(
-        fd, reinterpret_cast<const char*>(bytes.data()) + off,
-        bytes.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  return (::close(fd) == 0) && synced;
-#else
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  return static_cast<bool>(out);
-#endif
-}
-
-std::vector<std::byte> frame_entry(std::uint64_t key,
-                                   const std::vector<std::byte>& payload) {
-  Encoder enc;
-  for (char c : kMagic) enc.u8(static_cast<std::uint8_t>(c));
-  enc.u32(kFormatVersion);
-  enc.u64(key);
-  enc.u64(payload.size());
-  std::vector<std::byte> out = enc.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  Encoder footer;
-  footer.u32(util::crc32(payload));
-  const auto& f = footer.bytes();
-  out.insert(out.end(), f.begin(), f.end());
-  return out;
-}
-
-std::span<const std::byte> unframe_entry(std::uint64_t expected_key,
-                                         std::span<const std::byte> file) {
-  if (file.size() < kHeaderBytes + kFooterBytes) {
-    throw Error("schedule cache: entry truncated before header");
-  }
-  Decoder dec(file);
-  for (char c : kMagic) {
-    if (dec.u8() != static_cast<std::uint8_t>(c)) {
-      throw Error("schedule cache: bad magic");
-    }
-  }
-  const std::uint32_t version = dec.u32();
-  if (version != kFormatVersion) {
-    throw Error("schedule cache: format version " + std::to_string(version) +
-                " != " + std::to_string(kFormatVersion));
-  }
-  const std::uint64_t key = dec.u64();
-  if (key != expected_key) {
-    throw Error("schedule cache: header key does not match entry name");
-  }
-  const std::uint64_t payload_len = dec.u64();
-  if (payload_len != file.size() - kHeaderBytes - kFooterBytes) {
-    throw Error("schedule cache: entry truncated (payload length mismatch)");
-  }
-  const auto payload = file.subspan(kHeaderBytes, payload_len);
-  Decoder footer(file.subspan(kHeaderBytes + payload_len));
-  const std::uint32_t want_crc = footer.u32();
-  if (util::crc32(payload) != want_crc) {
-    throw Error("schedule cache: payload CRC mismatch");
-  }
-  return payload;
-}
+constexpr EntryFormat kFormat{"HSCH", ".hsc", "schedule cache"};
 
 }  // namespace
 
@@ -205,34 +89,15 @@ std::vector<std::byte> schedule_bytes(const collective::Schedule& schedule) {
   return enc.take();
 }
 
-ScheduleCache::ScheduleCache(fs::path dir) : dir_(std::move(dir)) {
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec || !fs::is_directory(dir_)) {
-    throw Error("schedule cache: cannot open directory " + dir_.string() +
-                (ec ? " (" + ec.message() + ")" : ""));
-  }
-  for (const auto& e : fs::directory_iterator(dir_, ec)) {
-    if (e.path().filename().string().rfind(kTempPrefix, 0) == 0) {
-      fs::remove(e.path(), ec);
-    }
-  }
-}
+ScheduleCache::ScheduleCache(std::filesystem::path dir)
+    : entries_(std::move(dir), kFormat) {}
 
 std::string ScheduleCache::entry_filename(std::uint64_t key) {
-  return hex16(key) + kEntrySuffix;
+  return EntryDir::filename(key, kFormat.suffix);
 }
 
 std::optional<collective::Schedule> ScheduleCache::load(std::uint64_t key) {
-  const fs::path path = dir_ / entry_filename(key);
-  const auto file = read_file(path);
-  if (!file) {
-    std::lock_guard lock(mutex_);
-    ++counters_.misses;
-    return std::nullopt;
-  }
-  try {
-    const auto payload = unframe_entry(key, *file);
+  return entries_.load(key, [](EntryDir::Payload payload) {
     Decoder dec(payload);
     collective::Schedule s = decode_schedule(dec);
     if (!dec.done()) {
@@ -242,55 +107,15 @@ std::optional<collective::Schedule> ScheduleCache::load(std::uint64_t key) {
     // survives the CRC (or a save from a buggy producer) is a miss, never
     // an invalid schedule handed to a replay.
     collective::validate_schedule(s);
-    std::lock_guard lock(mutex_);
-    ++counters_.hits;
     return s;
-  } catch (const std::exception&) {
-    std::lock_guard lock(mutex_);
-    ++counters_.misses;
-    ++counters_.corrupt_misses;
-    return std::nullopt;
-  }
+  });
 }
 
 void ScheduleCache::save(std::uint64_t key,
                          const collective::Schedule& schedule) {
   Encoder enc;
   encode_schedule(enc, schedule);
-  const std::vector<std::byte> image = frame_entry(key, enc.bytes());
-
-  std::uint64_t seq;
-  {
-    std::lock_guard lock(mutex_);
-    seq = ++temp_seq_;
-  }
-  const fs::path tmp =
-      dir_ / (std::string(kTempPrefix) + hex16(key) + "-" +
-              std::to_string(seq));
-  const fs::path final_path = dir_ / entry_filename(key);
-
-  bool ok = write_file_synced(tmp, image);
-  if (ok) {
-    std::error_code ec;
-    fs::rename(tmp, final_path, ec);  // atomic within one directory (POSIX)
-    ok = !ec;
-    if (!ok) fs::remove(tmp, ec);
-  } else {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
-
-  std::lock_guard lock(mutex_);
-  if (ok) {
-    ++counters_.stores;
-  } else {
-    ++counters_.store_failures;
-  }
-}
-
-CacheCounters ScheduleCache::counters() const {
-  std::lock_guard lock(mutex_);
-  return counters_;
+  entries_.save(key, enc.bytes());
 }
 
 }  // namespace hfast::store

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -263,6 +265,30 @@ TEST(StoreCli, BatchReportsKeepTheirStreams) {
   EXPECT_EQ(diag.str(), "experiment failed: cactus P=64 seed=1: boom\n");
   CacheCli::report_batch(out, diag, batch, nullptr);
   EXPECT_TRUE(out.str().empty());
+}
+
+TEST(StoreCli, CacheReportCountsEveryEntryFile) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "hfast_cli_report";
+  std::filesystem::remove_all(dir);
+  ResultStore st(dir);
+  analysis::ExperimentResult r;
+  r.config.app = "cactus";
+  r.config.nranks = 8;
+  r.config.capture_trace = false;
+  ASSERT_TRUE(st.save(r));
+  ASSERT_TRUE(st.load(r.config).has_value());
+  r.config.seed = 2;
+  ASSERT_FALSE(st.load(r.config).has_value());
+  // A corrupt entry still counts toward the directory's entries and bytes:
+  // 1,042 bytes of valid entry plus the 12 bytes below.
+  std::ofstream(dir / ResultStore::entry_filename(0xdeadbeef))
+      << "not an entry";
+  std::ostringstream os;
+  CacheCli::report(os, &st);
+  EXPECT_EQ(os.str(), "cache: 1 hits, 1 misses (0 corrupt), 1 stored; " +
+                          dir.string() + ": 2 entries, 1054 bytes\n");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StoreCliFuzz, HostileArgvOnlyEverThrowsError) {
