@@ -353,7 +353,7 @@ int main(int argc, char** argv) {
                 << " misses (" << sc.corrupt_misses << " corrupt), "
                 << sc.stores << " stores\n";
     }
-    std::cout << "batch: " << names.size() << " captures in "
+    std::cerr << "batch: " << names.size() << " captures in "
               << batch.wall_seconds << " s under a " << runner.thread_budget()
               << "-thread budget\n";
     store::CacheCli::report_batch(std::cout, std::cerr, batch,

@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
           names[0], nranks,
           batch.results[0]->trace.filter_region(apps::kSteadyRegion), detail);
     }
-    std::cout << "batch: " << names.size() << " captures in "
+    std::cerr << "batch: " << names.size() << " captures in "
               << batch.wall_seconds << " s under a " << runner.thread_budget()
               << "-thread budget\n";
     store::CacheCli::report_batch(std::cout, std::cerr, batch,

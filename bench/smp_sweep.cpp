@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                  "grow; pmemd's all-to-all keeps node TDC\n= nodes-1 at every "
                  "aggregation (the paper's case-iv finding) — SMP packing\n"
                  "cannot rescue fully-connected codes.\n";
-    std::cout << "batch: " << configs.size() << " experiments in "
+    std::cerr << "batch: " << configs.size() << " experiments in "
               << batch.wall_seconds << " s under a " << runner.thread_budget()
               << "-thread budget\n";
     store::CacheCli::report_batch(std::cout, std::cerr, batch,

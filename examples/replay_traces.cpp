@@ -115,8 +115,8 @@ void print_result(const char* label, const netsim::ReplayResult& r,
             << ",\n  avg_latency=" << r.avg_message_latency_s
             << " s, max_latency=" << r.max_message_latency_s
             << " s, avg_hops=" << r.avg_switch_hops
-            << ", max_hops=" << r.max_switch_hops << "  [" << seconds
-            << " s wall]\n";
+            << ", max_hops=" << r.max_switch_hops << "\n";
+  std::cerr << label << ": " << seconds << " s wall\n";
 }
 
 }  // namespace
@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
       t = std::move(result.trace);
       std::cout << app << " @ P=" << nranks << " ("
                 << mpisim::engine_name(engine) << "): " << t.events().size()
-                << " events traced in " << trace_s << " s\n";
+                << " events traced\n";
+      std::cerr << "traced in " << trace_s << " s\n";
     }
     if (!save_file.empty()) {
       trace::save_trace_file(t, save_file, trace_format);
@@ -332,8 +333,9 @@ int main(int argc, char** argv) {
         std::cerr << "PARITY FAILURE: parallel result differs from serial\n";
         return EXIT_FAILURE;
       }
-      std::cout << "verify: exact match (serial " << serial_s
-                << " s vs parallel " << parallel_s << " s)\n";
+      std::cout << "verify: exact match\n";
+      std::cerr << "verify: serial " << serial_s << " s vs parallel "
+                << parallel_s << " s\n";
     }
     return 0;
   });

@@ -103,8 +103,6 @@ LowerResult lower_trace(const trace::Trace& in, const LowerOptions& opts) {
     sopts.hops = hops;
     sopts.node_of_rank = opts.node_of_rank;
     sopts.seed = opts.config.synth_seed;
-    sopts.beam_width = opts.config.synth_beam;
-    sopts.rounds = opts.config.synth_rounds;
     sopts.memo = opts.synth_memo;
     if (sopts.memo != nullptr) {
       sopts.topology_digest = topology_hash(n, hops);

@@ -20,10 +20,7 @@
 ///      - permuted rings (allreduce / allgather / reduce-scatter) — on a
 ///        torus a hop-greedy tour cuts the per-step hop latency;
 ///  * rank orders: identity, hop-greedy nearest-neighbor tour,
-///    root-distance sort, and LCG-seeded random orders, refined by 2-opt
-///    position swaps over a beam of the best permutation-bearing
-///    candidates (iterative deepening: each round proposes more swaps,
-///    a round with no improvement stops refinement).
+///    root-distance sort, and two LCG-seeded random orders.
 
 #include "hfast/collective/synthesize.hpp"
 
@@ -402,7 +399,7 @@ std::vector<int> random_order(int n, Lcg& lcg) {
 // The search.
 
 enum class Gen : int {
-  kCanned = 0,  // seeded from a canned family; not perm-refinable
+  kCanned = 0,  // seeded from a canned family; has no skeleton
   kKnomialBcast,
   kKnomialReduce,
   kKnomialAllreduce,
@@ -493,15 +490,13 @@ void add_param(std::vector<int>& params, int value, int n) {
   }
 }
 
-/// What the search keeps of a candidate: its place in the search order
-/// (better()) and how to re-instantiate it. Only the best keeps a schedule.
+/// A candidate's place in the search order (better()); the best one's
+/// schedule is kept beside it.
 struct Entry {
   double cost = 0.0;
   std::size_t steps = 0;
   std::size_t sends = 0;
   std::size_t index = 0;  // generation order; final tie-break
-  Skeleton skeleton;      // gen 0 (Gen::kCanned) for canned seeds
-  std::vector<int> perm;  // empty for canned seeds
 };
 
 /// Tie-break contract: (cost, fewer steps, fewer sends, earlier generation
@@ -532,47 +527,29 @@ class Searcher {
            const SynthesisOptions& opts, const HopFn& hops)
       : call_(call), n_(n), payload_(payload), opts_(opts), hops_(hops) {}
 
-  /// Price a structure, then prove it only if it would change the search
-  /// state: become the best, or survive the beam cut. Exactness: better()
-  /// is a strict total order (the index is unique), so a candidate that
-  /// would do neither leaves the state as it was, valid or not, and one
-  /// that fails its proof is dropped, which also leaves it as it was. The
-  /// admitted sequence, and so the winner, is that of proving every
-  /// candidate first; and every admitted candidate is proved.
-  void consider(const Schedule& s, Skeleton sk, const std::vector<int>& perm) {
+  /// Price a structure, then prove it only if it would become the best.
+  /// Exactness: better() is a strict total order (the index is unique), so
+  /// a candidate that would not leaves the best as it was, valid or not,
+  /// and one that fails its proof is dropped, which also leaves it as it
+  /// was. The winner is that of proving every candidate first; and every
+  /// admitted candidate is proved.
+  void consider(const Schedule& s) {
     const std::size_t index = candidates_++;
-    if (priceable(s)) {
-      admit(s, estimate_cost(s, opts_.cost, hops_), index, sk, perm);
-    }
+    if (priceable(s)) admit(s, estimate_cost(s, opts_.cost, hops_), index);
   }
 
   /// consider() once `s` is priced at `cost`.
-  void admit(const Schedule& s, double cost, std::size_t index, Skeleton sk,
-             const std::vector<int>& perm) {
-    Entry e{cost, s.num_steps(), s.total_sends(), index, sk, {}};
-    const bool to_best = !best_.has_value() || better(e, *best_);
-    const auto width =
-        static_cast<std::size_t>(std::max(1, opts_.beam_width));
-    const auto slot = std::lower_bound(beam_.begin(), beam_.end(), e, better);
-    const bool to_beam =
-        sk.gen != static_cast<int>(Gen::kCanned) && !perm.empty() &&
-        static_cast<std::size_t>(slot - beam_.begin()) < width;
-    if (!to_best && !to_beam) return;
+  void admit(const Schedule& s, double cost, std::size_t index) {
+    const Entry e{cost, s.num_steps(), s.total_sends(), index};
+    if (best_.has_value() && !better(e, *best_)) return;
     try {
       validate_schedule(s);
     } catch (const Error&) {
       return;  // structurally or semantically invalid: not admissible
     }
     ++validated_;
-    if (to_best) {
-      best_ = e;
-      best_schedule_ = s;
-    }
-    if (to_beam) {
-      e.perm = perm;
-      beam_.insert(slot, std::move(e));
-      if (beam_.size() > width) beam_.pop_back();
-    }
+    best_ = e;
+    best_schedule_ = s;
   }
 
   void seed_canned() {
@@ -602,11 +579,12 @@ class Searcher {
         auto_cost_ = cost;
         auto_algo_ = kind;
       }
-      if (priceable(scratch_)) admit(scratch_, cost, index, Skeleton{}, {});
+      if (priceable(scratch_)) admit(scratch_, cost, index);
     }
   }
 
-  void seed_parametric(Lcg& lcg) {
+  void seed_parametric() {
+    Lcg lcg(opts_.seed);
     std::vector<std::vector<int>> orders;
     orders.push_back(iota_order(n_));
     if (n_ >= 3 && n_ <= kMaxPermRanks) {
@@ -628,44 +606,8 @@ class Searcher {
     for (const Skeleton& sk : skeletons(call_, n_)) {
       for (const std::vector<int>& order : orders) {
         instantiate(scratch_, sk, order, call_, payload_);
-        consider(scratch_, sk, order);
+        consider(scratch_);
       }
-    }
-  }
-
-  /// 2-opt refinement over the beam: each round proposes LCG position
-  /// swaps per survivor (more per round — iterative deepening); a round
-  /// with no frontier improvement ends refinement.
-  void refine(Lcg& lcg) {
-    if (n_ < 4 || n_ > kMaxPermRanks) return;
-    std::vector<int> perm;
-    for (int round = 0; round < std::max(0, opts_.rounds); ++round) {
-      bool improved = false;
-      const int proposals = std::max(1, opts_.beam_width) + 2 * round;
-      // consider() may reorder and cut beam_; work on a snapshot so the
-      // proposal sequence stays deterministic.
-      const std::vector<Entry> snapshot = beam_;
-      for (const Entry& e : snapshot) {
-        for (int t = 0; t < proposals; ++t) {
-          const int span = n_ - 1;
-          const int a = 1 + static_cast<int>(
-                                lcg.below(static_cast<std::uint64_t>(span)));
-          const int b = 1 + static_cast<int>(
-                                lcg.below(static_cast<std::uint64_t>(span)));
-          if (a == b) continue;
-          perm = e.perm;
-          std::swap(perm[static_cast<std::size_t>(a)],
-                    perm[static_cast<std::size_t>(b)]);
-          instantiate(scratch_, e.skeleton, perm, call_, payload_);
-          const bool had_best = best_.has_value();
-          const double prev_cost = had_best ? best_->cost : 0.0;
-          consider(scratch_, e.skeleton, perm);
-          if (best_.has_value() && (!had_best || best_->cost < prev_cost)) {
-            improved = true;
-          }
-        }
-      }
-      if (!improved) break;
     }
   }
 
@@ -688,7 +630,6 @@ class Searcher {
   std::optional<Entry> best_;
   Schedule best_schedule_;
   Schedule scratch_;
-  std::vector<Entry> beam_;  // ascending under better(), at most beam_width
   std::optional<double> auto_cost_;
   ScheduleKind auto_algo_ = ScheduleKind::kRing;
 };
@@ -786,8 +727,6 @@ std::uint64_t synth_key(mpisim::CallType call, int nranks,
   feed_f64(h, opts.cost.per_hop_s);
   feed_f64(h, opts.cost.bandwidth_bps);
   feed_u64(h, opts.seed);
-  feed_u64(h, static_cast<std::uint64_t>(opts.beam_width));
-  feed_u64(h, static_cast<std::uint64_t>(opts.rounds));
   feed_u64(h, opts.node_of_rank.size());
   for (int node : opts.node_of_rank) {
     feed_u64(h, static_cast<std::uint64_t>(node));
@@ -856,9 +795,7 @@ SynthesisResult synthesize(mpisim::CallType call, int nranks,
     search.seed_canned();
   }
 
-  Lcg lcg(opts.seed);
-  search.seed_parametric(lcg);
-  search.refine(lcg);
+  search.seed_parametric();
 
   HFAST_ASSERT_MSG(search.best().has_value(),
                    "synthesize: canned seeds must yield a candidate");

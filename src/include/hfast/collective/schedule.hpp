@@ -57,9 +57,9 @@ enum class ScheduleKind : std::uint8_t {
   /// alpha-beta-hop estimate (cost.hpp), per topology via its hop function.
   kAuto,
   /// Schedule synthesis: bounded search over step structures (radix
-  /// skeletons x rank orders, beam-refined) seeded from the canned families
-  /// above, so the result is never costlier than kAuto's pick under the
-  /// same topology hop function (synthesize.hpp).
+  /// skeletons x rank orders) seeded from the canned families above, so
+  /// the result is never costlier than kAuto's pick under the same
+  /// topology hop function (synthesize.hpp).
   kSynth,
 };
 
@@ -80,13 +80,10 @@ const std::vector<ScheduleKind>& all_schedule_kinds();
 struct CollectiveConfig {
   ScheduleKind schedule = ScheduleKind::kAnalytic;
 
-  /// Synthesis knobs (kSynth only; inert otherwise, but always part of the
-  /// store key — see fields.hpp). `synth_seed` seeds the candidate LCG,
-  /// `synth_beam` bounds the refinement frontier (>= 1), `synth_rounds`
-  /// bounds the iterative-deepening refinement rounds (>= 0).
+  /// Synthesis seed (kSynth only; inert otherwise, but always part of the
+  /// store key — see fields.hpp): seeds the LCG that draws the search's
+  /// random rank orders.
   std::uint64_t synth_seed = 1;
-  int synth_beam = 4;
-  int synth_rounds = 3;
 
   /// True when replay should expand collectives into P2P schedules.
   bool lowers() const noexcept { return schedule != ScheduleKind::kAnalytic; }

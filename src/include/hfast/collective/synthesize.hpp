@@ -11,14 +11,13 @@
 ///    pick under the same CostParams/HopFn), and
 ///  * parametric skeletons: k-nomial broadcast/reduce/allreduce trees,
 ///    radix-r dissemination, radix-r Bruck allgather and alltoall, and
-///    permuted rings — each instantiated over topology-derived rank orders
-///    (hop-greedy tour, distance-sorted) and LCG-seeded random orders,
-///    then beam-refined with 2-opt position swaps for `rounds` rounds
-///    (iterative deepening: a round that fails to improve stops early).
+///    permuted rings — each instantiated over the identity order,
+///    topology-derived rank orders (hop-greedy tour, distance-sorted) and
+///    two LCG-seeded random orders.
 /// Every candidate is priced by estimate_cost under the target hop function
-/// first; one that would become the best or enter the refinement beam is
-/// then proven by validate_schedule and dropped if it fails, so every
-/// admitted schedule, and so every returned one, is proven.
+/// first; one that would become the best is then proven by
+/// validate_schedule and dropped if it fails, so every admitted schedule,
+/// and so the returned one, is proven.
 /// Ties break on (cost, fewer steps, fewer sends, generation index), so a
 /// fixed seed yields a byte-stable schedule across runs.
 
@@ -52,14 +51,8 @@ struct SynthesisOptions {
   /// SMP node map; consulted by the hierarchical seed family only (same
   /// contract as select_schedule).
   std::vector<int> node_of_rank;
-  /// Candidate-LCG seed: fixes random rank orders and refinement swaps.
+  /// Candidate-LCG seed: fixes the random rank orders.
   std::uint64_t seed = 1;
-  /// Refinement frontier width (>= 1): how many permutation-bearing
-  /// candidates survive into each 2-opt round.
-  int beam_width = 4;
-  /// Iterative-deepening refinement rounds (>= 0); a round without any
-  /// frontier improvement ends refinement early.
-  int rounds = 3;
   /// Optional cross-run memo. When set, `topology_digest` must identify
   /// the hop function (use topology_hash()); it salts the memo key so a
   /// cache directory can serve many fabrics.
@@ -74,8 +67,8 @@ struct SynthesisResult {
   ScheduleKind auto_algo = ScheduleKind::kRing;  ///< that pick's family
   std::size_t candidates = 0;  ///< structures generated (incl. invalid)
   /// Structures proven by validate_schedule. Only a candidate that would
-  /// be admitted (the new best, or a beam entry) is proven, so this counts
-  /// admissions attempted and passed, not every structure that would pass.
+  /// become the new best is proven, so this counts admissions attempted
+  /// and passed, not every structure that would pass.
   std::size_t validated = 0;
   bool from_memo = false;      ///< served by opts.memo, no search ran
   /// False when the validation state (P x chunk space) exceeded the
@@ -105,7 +98,7 @@ void instantiate(Schedule& out, Skeleton skeleton,
 std::uint64_t topology_hash(int nranks, const HopFn& hops);
 
 /// Memo key: digest of (format salt, call, P, payload, topology digest,
-/// cost params, seed/beam/rounds, node map). Two synthesize() calls with
+/// cost params, seed, node map). Two synthesize() calls with
 /// equal keys produce byte-identical schedules.
 std::uint64_t synth_key(mpisim::CallType call, int nranks,
                         std::uint64_t payload, const SynthesisOptions& opts);

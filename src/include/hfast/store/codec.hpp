@@ -33,7 +33,7 @@ namespace hfast::store {
 
 /// Bump on ANY change to the encoding (field list, order, widths) — this
 /// salts every cache key and is checked in every entry header.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Append-only canonical byte assembler.
 class Encoder {

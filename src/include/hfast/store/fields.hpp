@@ -37,8 +37,6 @@ void visit_config_fields(Config& config, Visitor&& visit) {
   visit("smp_packing", config.smp.packing);
   visit("collective_schedule", config.collective.schedule);
   visit("collective_synth_seed", config.collective.synth_seed);
-  visit("collective_synth_beam", config.collective.synth_beam);
-  visit("collective_synth_rounds", config.collective.synth_rounds);
   visit("reconfig_windows", config.reconfig.num_windows);
   visit("reconfig_hysteresis", config.reconfig.hysteresis_windows);
   visit("reconfig_seconds", config.reconfig.reconfig_seconds);

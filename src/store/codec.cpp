@@ -388,12 +388,6 @@ analysis::ExperimentConfig decode_config(Decoder& dec) {
   visit_config_fields(config, visit);
   // Field-level decoding accepts any bit pattern for ints and doubles;
   // range rules live here, per config, like the enum checks above.
-  if (config.collective.synth_beam < 1) {
-    throw Error("store codec: synthesized-schedule beam width must be >= 1");
-  }
-  if (config.collective.synth_rounds < 0) {
-    throw Error("store codec: negative synthesized-schedule rounds");
-  }
   if (config.reconfig.num_windows < 0) {
     throw Error("store codec: negative reconfiguration window count");
   }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "hfast/analysis/export.hpp"
 #include "hfast/analysis/experiment.hpp"
@@ -18,7 +19,10 @@ namespace fs = std::filesystem;
 class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "hfast_export_test";
+    // One directory per test: ctest -j runs these tests concurrently.
+    dir_ = fs::temp_directory_path() /
+           (std::string("hfast_export_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -29,8 +29,10 @@
 #include "hfast/graph/comm_graph.hpp"
 #include "hfast/netsim/network.hpp"
 #include "hfast/netsim/replay.hpp"
+#include "hfast/netsim/replay_reconfig.hpp"
 #include "hfast/topo/fat_tree.hpp"
 #include "hfast/topo/mesh.hpp"
+#include "hfast/trace/window.hpp"
 #include "hfast/util/random.hpp"
 
 namespace hfast::netsim {
@@ -76,7 +78,9 @@ struct Shapes {
 /// appended to a channel that already holds an undelivered send or seed,
 /// so every rank's k-th receive on a channel matches the channel's k-th
 /// arrival. Whatever is left undelivered at the end stays unmatched.
-Case random_case(int nranks, int events, std::uint64_t seed, Shapes* shapes) {
+/// Unless `seeded`, the case carries no channel seeds.
+Case random_case(int nranks, int events, std::uint64_t seed, Shapes* shapes,
+                 bool seeded = true) {
   util::Rng rng(seed);
   const auto pick = [&rng](int n) {
     return static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
@@ -94,7 +98,7 @@ Case random_case(int nranks, int events, std::uint64_t seed, Shapes* shapes) {
   c.programs.resize(static_cast<std::size_t>(nranks));
   // (receiver, sender) -> arrivals not yet received.
   std::map<std::pair<int, int>, int> undelivered;
-  const int nseeds = pick(2 * nranks);
+  const int nseeds = seeded ? pick(2 * nranks) : 0;
   for (int i = 0; i < nseeds; ++i) {
     ChannelSeed s;
     s.receiver = pick(nranks);
@@ -399,6 +403,38 @@ TEST(ReplayOracle, ProvisionedFabricReplaysMatchTheReference) {
                                  "fabric seed=" + std::to_string(seed) +
                                      " params=" + name),
                 3);
+    }
+  }
+}
+
+TEST(ReplayOracle, OneWindowReconfigurableReplayMatchesTheReference) {
+  // With one window, reconfigurable replay provisions its fabric from the
+  // whole trace's send-only graph (cutoff 0) and replays the whole trace
+  // on it with no seeds, so that window must replay exactly as the
+  // reference does on the same fabric.
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const Case c = random_case(kRanks, kEvents, 400 + seed, nullptr,
+                               /*seeded=*/false);
+    const trace::Trace t = c.trace();
+    ReconfigReplayOptions ropts;
+    ropts.config.num_windows = 1;
+    trace::WindowOptions sends_only;
+    sends_only.expand_collectives = false;
+    const graph::CommGraph g = trace::windowed_graphs(t, 1, sends_only).front();
+    const auto prov = core::provision_greedy(
+        g, {.block_size = ropts.block_size, .cutoff = 0});
+    FabricNetwork net(prov.fabric, ropts.circuit, ropts.block_overhead_s);
+    for (const auto& [name, params] : kParams) {
+      const ReplayResult expected = reference_replay(c, net, params);
+      ropts.params = params;
+      for (const int shards : {1, 2}) {
+        ropts.shards = shards;
+        const ReconfigReplayResult got = reconfigurable_replay(t, ropts);
+        ASSERT_EQ(got.windows.size(), 1u);
+        EXPECT_TRUE(got.windows[0].result == expected)
+            << "one-window seed=" << seed << " params=" << name
+            << " shards=" << shards;
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -134,8 +135,9 @@ TEST(StoreKey, GoldenKeyIsStableAcrossSessions) {
   // entries invalidate instead of colliding, then re-pin this constant.
   // (Format v2 appended the SMP fields and artifacts; v3 appended the
   // collective_schedule field; v4 appended the four reconfig_* fields;
-  // v5 appended the three collective_synth_* fields and added kSynth.)
-  EXPECT_EQ(config_key(base_config()), UINT64_C(0x6c284df66b64eb85));
+  // v5 appended the three collective_synth_* fields and added kSynth;
+  // v6 dropped two of those three again, keeping collective_synth_seed.)
+  EXPECT_EQ(config_key(base_config()), UINT64_C(0x791ccbdce3236355));
 }
 
 TEST(StoreKey, EveryConfigFieldPerturbsTheKey) {
@@ -162,10 +164,6 @@ TEST(StoreKey, EveryConfigFieldPerturbsTheKey) {
            }},
           {"collective_synth_seed",
            [](Config& c) { c.collective.synth_seed = 7; }},
-          {"collective_synth_beam",
-           [](Config& c) { c.collective.synth_beam = 8; }},
-          {"collective_synth_rounds",
-           [](Config& c) { c.collective.synth_rounds = 5; }},
           {"reconfig_windows", [](Config& c) { c.reconfig.num_windows = 8; }},
           {"reconfig_hysteresis",
            [](Config& c) { c.reconfig.hysteresis_windows = 3; }},
@@ -262,20 +260,20 @@ TEST(StoreCodec, SmpTaskMapOutOfRangeRejected) {
   EXPECT_THROW((void)decode_result(dec), Error);
 }
 
-TEST(StoreCodec, OutOfRangeSynthConfigRejected) {
-  // decode_config's range rules must reject synth knobs no search could
-  // run with, even though the int codec accepts any bit pattern.
-  {
+TEST(StoreCodec, OutOfRangeReconfigConfigRejected) {
+  // decode_config's range rules must reject reconfiguration settings no
+  // replay could run with, even though the int and double codecs accept
+  // any bit pattern.
+  using Config = analysis::ExperimentConfig;
+  const std::function<void(Config&)> invalid[] = {
+      [](Config& c) { c.reconfig.num_windows = -1; },
+      [](Config& c) { c.reconfig.hysteresis_windows = -1; },
+      [](Config& c) { c.reconfig.reconfig_seconds = -1e-3; },
+      [](Config& c) { c.reconfig.reconfig_seconds = std::nan(""); },
+  };
+  for (const auto& corrupt : invalid) {
     auto cfg = base_config();
-    cfg.collective.synth_beam = 0;  // beam width must be >= 1
-    Encoder enc;
-    encode_config(enc, cfg);
-    Decoder dec(enc.bytes());
-    EXPECT_THROW((void)decode_config(dec), Error);
-  }
-  {
-    auto cfg = base_config();
-    cfg.collective.synth_rounds = -1;
+    corrupt(cfg);
     Encoder enc;
     encode_config(enc, cfg);
     Decoder dec(enc.bytes());

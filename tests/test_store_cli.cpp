@@ -281,13 +281,13 @@ TEST(StoreCli, CacheReportCountsEveryEntryFile) {
   r.config.seed = 2;
   ASSERT_FALSE(st.load(r.config).has_value());
   // A corrupt entry still counts toward the directory's entries and bytes:
-  // 1,042 bytes of valid entry plus the 12 bytes below.
+  // 1,026 bytes of valid entry plus the 12 bytes below.
   std::ofstream(dir / ResultStore::entry_filename(0xdeadbeef))
       << "not an entry";
   std::ostringstream os;
   CacheCli::report(os, &st);
   EXPECT_EQ(os.str(), "cache: 1 hits, 1 misses (0 corrupt), 1 stored; " +
-                          dir.string() + ": 2 entries, 1054 bytes\n");
+                          dir.string() + ": 2 entries, 1038 bytes\n");
   std::filesystem::remove_all(dir);
 }
 
